@@ -234,106 +234,48 @@ TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
     EXPECT_EQ(fired, expected);
 }
 
-TEST(EventQueue, DomainsPreserveGlobalDispatchOrder)
+TEST(EventQueue, PushBehindARolledOverCalendarYear)
 {
-    // The same schedule sprayed across 4 sub-queues must fire in the
-    // identical global (when, insertion) order as a 1-domain queue.
-    auto drive = [](unsigned domains) {
-        EventQueue q;
-        q.setDomains(domains);
-        std::vector<int> order;
-        for (int i = 0; i < 200; ++i) {
-            Tick when = static_cast<Tick>((i * 7) % 40);
-            q.scheduleOn(static_cast<unsigned>(i) % domains, when,
-                         [&order, i] { order.push_back(i); });
-        }
-        q.run();
-        return order;
-    };
-    EXPECT_EQ(drive(1), drive(4));
-    EXPECT_EQ(drive(1), drive(7));
-}
-
-TEST(EventQueue, CrossDomainPushBehindARolledOverCalendarYear)
-{
-    // A domain holding only far-future events rolls its calendar year
-    // forward past global time on the first peek. A cross-domain push
-    // that then lands *before* the rolled year's start must still be
-    // stored (near heap) and fire in global order — the bucket index
-    // computation must not underflow (regression: crashed the worker
-    // --domains sweep).
+    // runUntil() peeks past its limit, and that peek rolls the calendar
+    // year forward to the only (far-future) event. A push that then
+    // lands between the current tick and the rolled year's start must
+    // still be stored (near heap) and fire in order: the bucket index
+    // computation must not underflow.
     EventQueue q;
-    q.setDomains(2);
     std::vector<Tick> fired;
-    q.scheduleOn(1, 1000000, [&] { fired.push_back(q.curTick()); });
-    q.scheduleOn(0, 10, [&] {
-        fired.push_back(q.curTick());
-        // Domain 1's calendar has already re-based its year at tick
-        // 1000000; this push lands far behind that.
-        q.scheduleOn(1, 100, [&] { fired.push_back(q.curTick()); });
-    });
+    q.schedule(1000000, [&] { fired.push_back(q.curTick()); });
+    q.runUntil(50);
+    q.schedule(100, [&] { fired.push_back(q.curTick()); });
     q.run();
-    EXPECT_EQ(fired, (std::vector<Tick>{10, 100, 1000000}));
+    EXPECT_EQ(fired, (std::vector<Tick>{100, 1000000}));
 }
 
-TEST(EventQueue, DomainSizeTracksPerDomainOccupancy)
+TEST(EventQueue, ResetMakesOutstandingHandlesStale)
 {
     EventQueue q;
-    q.setDomains(3);
-    q.scheduleOn(0, 10, [] {});
-    q.scheduleOn(2, 10, [] {});
-    q.scheduleOn(2, 20, [] {});
-    EXPECT_EQ(q.domainSize(0), 1u);
-    EXPECT_EQ(q.domainSize(1), 0u); // zero-event domain is legal
-    EXPECT_EQ(q.domainSize(2), 2u);
-    EXPECT_EQ(q.size(), 3u);
-    q.run();
-    EXPECT_EQ(q.domainSize(2), 0u);
-}
-
-TEST(EventQueue, ResetPreservesDomainPartition)
-{
-    EventQueue q;
-    q.setDomains(4);
-    auto stale = q.scheduleOn(3, 10, [] {});
+    auto stale = q.schedule(10, [] {});
     q.reset();
-    EXPECT_EQ(q.numDomains(), 4u);
     EXPECT_TRUE(q.empty());
     // Handles from before the reset are stale, not cancellable.
     EXPECT_FALSE(q.cancel(stale));
     bool fired = false;
-    q.scheduleOn(3, 5, [&] { fired = true; });
+    q.schedule(5, [&] { fired = true; });
     q.run();
     EXPECT_TRUE(fired);
 }
 
-TEST(EventQueue, DaemonEventsWorkUnderDomains)
+TEST(EventQueue, TrailingDaemonFiresInOrderOutsideTheWorkWindow)
 {
     EventQueue q;
-    q.setDomains(2);
     std::vector<int> order;
-    q.scheduleDaemonOn(1, 30, [&] { order.push_back(99); });
-    q.scheduleOn(0, 10, [&] { order.push_back(0); });
-    q.scheduleOn(1, 20, [&] { order.push_back(1); });
+    q.scheduleDaemon(30, [&] { order.push_back(99); });
+    q.schedule(10, [&] { order.push_back(0); });
+    q.schedule(20, [&] { order.push_back(1); });
     q.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 99}));
     // The trailing daemon must not stretch the measured work window.
     EXPECT_EQ(q.lastWorkTick(), 20u);
     EXPECT_EQ(q.curTick(), 30u);
-}
-
-TEST(EventQueueDeathTest, SetDomainsOnNonEmptyQueuePanics)
-{
-    EventQueue q;
-    q.schedule(10, [] {});
-    EXPECT_DEATH(q.setDomains(2), "repartition");
-}
-
-TEST(EventQueueDeathTest, ScheduleOnBogusDomainPanics)
-{
-    EventQueue q;
-    q.setDomains(2);
-    EXPECT_DEATH(q.scheduleOn(2, 10, [] {}), "out of range");
 }
 
 } // namespace
