@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -24,6 +23,7 @@
 #include "par/par.hh"
 #include "privlib/privlib.hh"
 #include "prof/profile_json.hh"
+#include "sim/atomic_file.hh"
 #include "sim/env.hh"
 #include "sim/logging.hh"
 #include "stats/sampler.hh"
@@ -214,10 +214,9 @@ inline void
 writeBenchJson(const std::string &path,
                const std::map<std::string, double> &kv)
 {
-    std::ofstream out(path);
-    if (!out)
-        sim::fatal("cannot open '%s'", path.c_str());
-    prof::writeFlatJson(out, kv);
+    sim::writeArtifact(path, [&](std::ostream &out) {
+        prof::writeFlatJson(out, kv);
+    });
     std::fprintf(stderr, "wrote %zu bench metrics to %s\n", kv.size(),
                  path.c_str());
 }

@@ -383,8 +383,7 @@ PrivLib::setPerm(unsigned core, Vte &vte, PdId pd, Perm perm,
         *inline_sub = uat::SubEntry::make(pd, perm);
         return;
     }
-    if (auto *extra = const_cast<std::vector<uat::SubEntry> *>(
-            table_.overflowListIfAny(vte))) {
+    if (auto *extra = table_.overflowListIfAny(vte)) {
         for (auto &entry : *extra) {
             if (entry.valid() && entry.pd() == pd) {
                 entry = uat::SubEntry::make(pd, perm);
@@ -415,8 +414,7 @@ PrivLib::removePerm(Vte &vte, PdId pd)
         --pds_[pd].refs;
         return true;
     }
-    if (auto *extra = const_cast<std::vector<uat::SubEntry> *>(
-            table_.overflowListIfAny(vte))) {
+    if (auto *extra = table_.overflowListIfAny(vte)) {
         for (auto &entry : *extra) {
             if (entry.valid() && entry.pd() == pd) {
                 entry.clear();

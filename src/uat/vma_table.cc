@@ -6,15 +6,30 @@ namespace jord::uat {
 
 using sim::Addr;
 
+namespace {
+
+/** What walk() reads for a slot whose page was never written. */
+const Vte kEmptyVte{};
+
+} // namespace
+
 // --- VmaTableBase: overflow sharer lists -----------------------------
 
 std::vector<SubEntry> &
-VmaTableBase::overflowList(const Vte &vte)
+VmaTableBase::overflowList(Vte &vte)
 {
-    auto *mutable_vte = const_cast<Vte *>(&vte);
-    if (mutable_vte->ptr == 0)
-        mutable_vte->ptr = nextOverflowId_++;
-    return overflow_[mutable_vte->ptr];
+    if (vte.ptr == 0)
+        vte.ptr = nextOverflowId_++;
+    return overflow_[vte.ptr];
+}
+
+std::vector<SubEntry> *
+VmaTableBase::overflowListIfAny(const Vte &vte)
+{
+    if (vte.ptr == 0)
+        return nullptr;
+    auto it = overflow_.find(vte.ptr);
+    return it == overflow_.end() ? nullptr : &it->second;
 }
 
 const std::vector<SubEntry> *
@@ -55,9 +70,9 @@ VmaTableBase::permFor(const Vte &vte, PdId pd) const
 // --- PlainListVmaTable ------------------------------------------------
 
 PlainListVmaTable::PlainListVmaTable(const VaEncoding &encoding)
-    : encoding_(encoding)
+    : encoding_(encoding),
+      pages_((encoding.tableCapacity() + kPageSlots - 1) / kPageSlots)
 {
-    slots_.assign(encoding_.tableCapacity(), Vte{});
 }
 
 bool
@@ -65,7 +80,7 @@ PlainListVmaTable::contains(Addr addr) const
 {
     return addr >= kVmaTableBase &&
            addr < kVmaTableBase +
-                      slots_.size() * sim::kCacheBlockBytes;
+                      encoding_.tableCapacity() * sim::kCacheBlockBytes;
 }
 
 std::optional<std::uint64_t>
@@ -76,7 +91,7 @@ PlainListVmaTable::slotFor(Addr va) const
         return std::nullopt;
     std::uint64_t slot = encoding_.slotOf(decoded->sizeClass,
                                           decoded->index);
-    if (slot >= slots_.size())
+    if (slot >= encoding_.tableCapacity())
         return std::nullopt;
     return slot;
 }
@@ -90,7 +105,8 @@ PlainListVmaTable::walk(Addr va) const
         return out;
     out.vteAddr = kVmaTableBase + *slot * sim::kCacheBlockBytes;
     out.readAddrs.push_back(out.vteAddr);
-    out.vte = &slots_[*slot];
+    const Page *page = pages_[*slot / kPageSlots].get();
+    out.vte = page ? &(*page)[*slot % kPageSlots] : &kEmptyVte;
     auto decoded = encoding_.decode(va);
     out.vmaBase = encoding_.encode(decoded->sizeClass, decoded->index);
     return out;
@@ -102,7 +118,10 @@ PlainListVmaTable::vteFor(Addr vma_base)
     auto slot = slotFor(vma_base);
     if (!slot)
         return nullptr;
-    return &slots_[*slot];
+    auto &page = pages_[*slot / kPageSlots];
+    if (!page)
+        page = std::make_unique<Page>();
+    return &(*page)[*slot % kPageSlots];
 }
 
 Addr

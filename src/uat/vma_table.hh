@@ -20,7 +20,9 @@
 #ifndef JORD_UAT_VMA_TABLE_HH
 #define JORD_UAT_VMA_TABLE_HH
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -90,8 +92,13 @@ class VmaTableBase
     /** Live (valid) VMA count. */
     virtual std::uint64_t numValid() const = 0;
 
-    /** Overflow sharer list support for VMAs with > 20 PDs (§4.3). */
-    std::vector<SubEntry> &overflowList(const Vte &vte);
+    /**
+     * Overflow sharer list support for VMAs with > 20 PDs (§4.3).
+     * overflowList() attaches a list to @p vte (setting its ptr) on
+     * first use, so it needs a VTE from vteFor(), never one from walk().
+     */
+    std::vector<SubEntry> &overflowList(Vte &vte);
+    std::vector<SubEntry> *overflowListIfAny(const Vte &vte);
     const std::vector<SubEntry> *overflowListIfAny(const Vte &vte) const;
     /** Drop the overflow list attached to @p vte, if any. */
     void clearOverflow(Vte &vte);
@@ -110,6 +117,13 @@ class VmaTableBase
 /**
  * The paper's plain-list table: one preallocated VTE slot per
  * (size class, index) pair, interleaved evenly.
+ *
+ * Preallocated in the *model*: every slot has a fixed address from
+ * the moment the table exists, so walks, T-bit checks and coherence
+ * traffic see the full 64 MB region. On the host the slots are stored
+ * sparsely: a page of kPageSlots value-initialised VTEs is allocated
+ * the first time vteFor() reaches it, and walk() reads a never-written
+ * slot as one shared, immutable empty VTE.
  */
 class PlainListVmaTable : public VmaTableBase
 {
@@ -128,8 +142,13 @@ class PlainListVmaTable : public VmaTableBase
     const VaEncoding &encoding() const { return encoding_; }
 
   private:
+    /** VTEs per host page of the slot store (64 x 64 B = 4 KiB). */
+    static constexpr std::uint64_t kPageSlots = 64;
+    using Page = std::array<Vte, kPageSlots>;
+
     VaEncoding encoding_;
-    std::vector<Vte> slots_;
+    /** Page i holds slots [i * kPageSlots, (i + 1) * kPageSlots). */
+    std::vector<std::unique_ptr<Page>> pages_;
     std::uint64_t numValid_ = 0;
 
     std::optional<std::uint64_t> slotFor(sim::Addr va) const;

@@ -8,7 +8,9 @@
  *  - trace_report and jordlint exit non-zero on empty and truncated
  *    trace files;
  *  - jordprof diff exits zero on identical inputs and non-zero on a
- *    synthetic 20% P99 regression.
+ *    synthetic 20% P99 regression;
+ *  - artifacts are written with write-then-rename: complete, with no
+ *    temporary left beside them, and a failed write keeps the old file.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +23,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "sim/atomic_file.hh"
 #include "tests/tmp_path.hh"
 #include "trace/export.hh"
 #include "trace/trace.hh"
@@ -197,6 +201,69 @@ TEST_F(TraceToolsTest, ToolsRejectTruncatedTraces)
     spit(trunc, full.substr(0, full.size() / 2));
     EXPECT_NE(runCmd(kTraceReport + " " + shellQuote(trunc)), 0);
     EXPECT_NE(runCmd(kJordlint + " " + shellQuote(trunc)), 0);
+}
+
+// --- atomic artifacts -------------------------------------------------------
+
+/** Names in @p dir that look like a leftover write-then-rename temp. */
+std::vector<std::string>
+tempSiblings(const std::string &dir)
+{
+    std::vector<std::string> out;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        std::string name = entry.path().filename().string();
+        if (name.find(".tmp.") != std::string::npos)
+            out.push_back(name);
+    }
+    return out;
+}
+
+TEST(AtomicArtifacts, JordsimReplacesOutputsWhole)
+{
+    std::string dir = tmpPath("atomic_run");
+    std::filesystem::create_directory(dir);
+    std::string trace = dir + "/trace.json";
+    std::string metrics = dir + "/metrics.csv";
+    // Stale files from an earlier run are replaced, not appended to.
+    spit(trace, "stale");
+    spit(metrics, "stale");
+    std::string run = kJordsim + " --workload Hotel --mrps 1.0 --csv";
+    std::string outs = " --trace-out " + shellQuote(trace);
+    outs += " --metrics-out " + shellQuote(metrics);
+    ASSERT_EQ(runCmd(run + " --requests 1000" + outs), 0);
+
+    EXPECT_EQ(runCmd(kTraceReport + " " + shellQuote(trace)), 0);
+    std::string csv = slurp(metrics);
+    ASSERT_FALSE(csv.empty());
+    EXPECT_EQ(csv.rfind("stale", 0), std::string::npos);
+    EXPECT_EQ(csv.back(), '\n');
+    EXPECT_TRUE(tempSiblings(dir).empty());
+
+    // An unwritable destination fails the run and leaves no temp.
+    std::string missing = shellQuote(dir + "/missing/metrics.csv");
+    EXPECT_NE(runCmd(run + " --requests 100 --metrics-out " + missing), 0);
+    EXPECT_TRUE(tempSiblings(dir).empty());
+}
+
+TEST(AtomicArtifacts, FailedWriteKeepsTheOldFile)
+{
+    std::string dir = tmpPath("atomic_unit");
+    std::filesystem::create_directory(dir);
+    std::string path = dir + "/out.txt";
+    spit(path, "old\n");
+
+    auto torn = [](std::ostream &out) {
+        out << "half";
+        out.setstate(std::ios::badbit);
+    };
+    EXPECT_FALSE(jord::sim::writeFileAtomic(path, torn));
+    EXPECT_EQ(slurp(path), "old\n");
+    EXPECT_TRUE(tempSiblings(dir).empty());
+
+    auto whole = [](std::ostream &out) { out << "new\n"; };
+    EXPECT_TRUE(jord::sim::writeFileAtomic(path, whole));
+    EXPECT_EQ(slurp(path), "new\n");
+    EXPECT_TRUE(tempSiblings(dir).empty());
 }
 
 // --- jordprof diff ------------------------------------------------------------

@@ -165,6 +165,119 @@ TEST_F(PlainListTest, InvalidVteHasNoPerm)
     EXPECT_FALSE(table.permFor(*vte, 0).has_value());
 }
 
+// --- Plain list: sparse slot store ------------------------------------------
+
+/** Base VA of the VMA that owns plain-list @p slot under @p enc. */
+Addr
+vaOfSlot(const VaEncoding &enc, std::uint64_t slot)
+{
+    auto decoded = enc.slotToClassIndex(slot);
+    return enc.encode(decoded.sizeClass, decoded.index);
+}
+
+TEST_F(PlainListTest, NeverWrittenSlotWalksToInvalidVte)
+{
+    Addr base = enc.encode(7, 123);
+    TableWalk walk = table.walk(base + 9);
+    ASSERT_NE(walk.vte, nullptr);
+    EXPECT_FALSE(walk.vte->valid());
+    EXPECT_EQ(walk.vte->bound, 0u);
+    EXPECT_EQ(walk.vte->ptr, 0u);
+    EXPECT_EQ(walk.vteAddr,
+              jord::uat::kVmaTableBase + enc.slotOf(7, 123) * 64);
+    EXPECT_EQ(walk.readAddrs, std::vector<Addr>{walk.vteAddr});
+    EXPECT_EQ(walk.vmaBase, base);
+    EXPECT_FALSE(table.permFor(*walk.vte, 0).has_value());
+}
+
+TEST_F(PlainListTest, WriteIsVisibleAndLeavesNeighboursInvalid)
+{
+    const std::uint64_t written = 1000;
+    Vte *vte = table.vteFor(vaOfSlot(enc, written));
+    ASSERT_NE(vte, nullptr);
+    vte->bound = 4096;
+    vte->setAttr(true, false, false, Perm::none());
+    *vte->freeSub() = SubEntry::make(3, Perm::rw());
+
+    TableWalk walk = table.walk(vaOfSlot(enc, written) + 1);
+    ASSERT_EQ(walk.vte, vte);
+    EXPECT_TRUE(walk.vte->valid());
+    EXPECT_EQ(walk.vte->bound, 4096u);
+    EXPECT_EQ(table.permFor(*walk.vte, 3).value(), Perm::rw());
+
+    // Every other slot in this store page and the pages around it.
+    for (std::uint64_t slot = written - 200; slot < written + 1200; ++slot) {
+        if (slot == written)
+            continue;
+        TableWalk other = table.walk(vaOfSlot(enc, slot));
+        ASSERT_NE(other.vte, nullptr) << "slot " << slot;
+        EXPECT_FALSE(other.vte->valid()) << "slot " << slot;
+        EXPECT_EQ(other.vte->bound, 0u) << "slot " << slot;
+        EXPECT_EQ(other.vteAddr, jord::uat::kVmaTableBase + slot * 64);
+    }
+}
+
+TEST(PlainListSparse, FirstAndLastSlotResolve)
+{
+    // 3 indices per class: slots 0..77 all belong to a VMA, and the
+    // last store page is only partly covered by the table.
+    VaEncoding small{3 * jord::uat::kNumSizeClasses};
+    PlainListVmaTable table{small};
+    const std::uint64_t last = small.tableCapacity() - 1;
+
+    EXPECT_EQ(table.vteAddrOf(vaOfSlot(small, 0)), jord::uat::kVmaTableBase);
+    EXPECT_EQ(table.vteAddrOf(vaOfSlot(small, last)),
+              jord::uat::kVmaTableBase + last * 64);
+    for (std::uint64_t slot : {std::uint64_t{0}, last}) {
+        Vte *vte = table.vteFor(vaOfSlot(small, slot));
+        ASSERT_NE(vte, nullptr) << "slot " << slot;
+        vte->bound = slot + 1;
+        TableWalk walk = table.walk(vaOfSlot(small, slot));
+        ASSERT_NE(walk.vte, nullptr);
+        EXPECT_EQ(walk.vte->bound, slot + 1);
+    }
+
+    // One index past the end of class 0: no slot, no VTE, no address.
+    Addr past = small.encode(0, 2) + VaEncoding::classSize(0);
+    EXPECT_EQ(table.walk(past).vte, nullptr);
+    EXPECT_EQ(table.walk(past).vteAddr, 0u);
+    EXPECT_TRUE(table.walk(past).readAddrs.empty());
+    EXPECT_EQ(table.vteFor(past), nullptr);
+    EXPECT_EQ(table.vteAddrOf(past), 0u);
+}
+
+TEST_F(PlainListTest, ContainsBoundsCoverWholeModelledTable)
+{
+    const Addr end = jord::uat::kVmaTableBase + enc.tableCapacity() * 64;
+    EXPECT_TRUE(table.contains(jord::uat::kVmaTableBase));
+    EXPECT_TRUE(table.contains(end - 1));
+    EXPECT_FALSE(table.contains(end));
+    EXPECT_FALSE(table.contains(jord::uat::kVmaTableBase - 1));
+    EXPECT_EQ(enc.tableCapacity() * 64, 64ull << 20);
+}
+
+TEST_F(PlainListTest, TablesFromOneEncodingDoNotShareWrites)
+{
+    PlainListVmaTable other{enc};
+    Addr base = enc.encode(3, 5);
+    Vte *mine = table.vteFor(base);
+    ASSERT_NE(mine, nullptr);
+    mine->setAttr(true, false, false, Perm::none());
+    table.overflowList(*mine).push_back(SubEntry::make(40, Perm::r()));
+
+    TableWalk walk = other.walk(base);
+    ASSERT_NE(walk.vte, nullptr);
+    EXPECT_FALSE(walk.vte->valid());
+    EXPECT_EQ(walk.vte->ptr, 0u);
+
+    Vte *theirs = other.vteFor(base);
+    ASSERT_NE(theirs, nullptr);
+    EXPECT_NE(theirs, mine);
+    EXPECT_FALSE(theirs->valid());
+    EXPECT_EQ(other.overflowListIfAny(*theirs), nullptr);
+    EXPECT_TRUE(table.walk(base).vte->valid());
+}
+
 // --- B-tree -------------------------------------------------------------------
 
 class BTreeTest : public ::testing::Test

@@ -41,6 +41,7 @@
 
 #include "analyzer.hh"
 #include "lexer.hh"
+#include "sim/atomic_file.hh"
 
 namespace fs = std::filesystem;
 using jord::detlint::Analyzer;
@@ -183,11 +184,8 @@ jsonEscape(const std::string &s)
 }
 
 void
-writeSarif(const std::string &path, const std::vector<Finding> &fresh)
+writeSarif(std::ostream &out, const std::vector<Finding> &fresh)
 {
-    std::ofstream out(path);
-    if (!out)
-        usageError("cannot write '%s'", path);
     out << "{\n"
         << "  \"version\": \"2.1.0\",\n"
         << "  \"$schema\": "
@@ -288,15 +286,16 @@ main(int argc, char **argv)
               jord::detlint::findingLess);
 
     if (!writeBaselinePath.empty()) {
-        std::ofstream out(writeBaselinePath);
-        if (!out)
+        auto emit = [&](std::ostream &out) {
+            out << "# detlint baseline: adopted legacy findings, one "
+                   "fingerprint per line.\n"
+                << "# Regenerate with `detlint --write-baseline FILE "
+                   "PATH...`.\n";
+            for (const Finding &f : findings)
+                out << jord::detlint::fingerprint(f) << "\n";
+        };
+        if (!jord::sim::writeFileAtomic(writeBaselinePath, emit))
             usageError("cannot write '%s'", writeBaselinePath);
-        out << "# detlint baseline: adopted legacy findings, one "
-               "fingerprint per line.\n"
-            << "# Regenerate with `detlint --write-baseline FILE "
-               "PATH...`.\n";
-        for (const Finding &f : findings)
-            out << jord::detlint::fingerprint(f) << "\n";
         std::fprintf(stderr, "detlint: wrote %zu fingerprint(s) to %s\n",
                      findings.size(), writeBaselinePath.c_str());
         return 0;
@@ -343,8 +342,9 @@ main(int argc, char **argv)
                     "%zu baselined\n",
                     files.size(), fresh.size(), baselined);
     }
-    if (!sarifPath.empty())
-        writeSarif(sarifPath, fresh);
+    auto sarif = [&](std::ostream &out) { writeSarif(out, fresh); };
+    if (!sarifPath.empty() && !jord::sim::writeFileAtomic(sarifPath, sarif))
+        usageError("cannot write '%s'", sarifPath);
 
     return fresh.empty() ? 0 : 1;
 }

@@ -33,6 +33,7 @@
 
 #include "obs/monitor.hh"
 #include "prof/profile_json.hh"
+#include "sim/atomic_file.hh"
 #include "sim/logging.hh"
 
 using namespace jord;
@@ -117,18 +118,16 @@ cmdReport(const std::string &base, double slack_us,
     std::fputs(obs::renderReport(report).c_str(), stdout);
 
     if (!json_out.empty()) {
-        std::ofstream out(json_out);
-        if (!out)
-            sim::fatal("cannot open '%s'", json_out.c_str());
-        prof::writeFlatJson(out, obs::flatReport(report));
+        sim::writeArtifact(json_out, [&](std::ostream &out) {
+            prof::writeFlatJson(out, obs::flatReport(report));
+        });
         std::fprintf(stderr, "wrote jordmon summary to %s\n",
                      json_out.c_str());
     }
     if (!heatmap_out.empty()) {
-        std::ofstream out(heatmap_out);
-        if (!out)
-            sim::fatal("cannot open '%s'", heatmap_out.c_str());
-        obs::writeHeatmapCsv(windows, out);
+        sim::writeArtifact(heatmap_out, [&](std::ostream &out) {
+            obs::writeHeatmapCsv(windows, out);
+        });
         std::fprintf(stderr, "wrote p99 heatmap to %s\n",
                      heatmap_out.c_str());
     }

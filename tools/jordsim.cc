@@ -17,7 +17,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -33,6 +32,7 @@
 #include "prof/pmu.hh"
 #include "prof/profile_json.hh"
 #include "prof/profiler.hh"
+#include "sim/atomic_file.hh"
 #include "sim/logging.hh"
 #include "trace/export.hh"
 #include "trace/metrics.hh"
@@ -578,25 +578,18 @@ runOnce(const Options &opt)
 
     RunResult res = worker.run(opt.mrps, opt.requests, w.mix);
 
-    auto openOut = [](const std::string &path) {
-        std::ofstream out(path);
-        if (!out)
-            sim::fatal("cannot open '%s'", path.c_str());
-        return out;
-    };
     if (profiler) {
-        {
-            auto out = openOut(opt.profOut + ".folded");
+        sim::writeArtifact(opt.profOut + ".folded", [&](std::ostream &out) {
             profiler->writeFolded(out);
-        }
-        {
-            auto out = openOut(opt.profOut + ".timeseries.csv");
-            profiler->writeTimeSeriesCsv(out);
-        }
-        {
-            auto out = openOut(opt.profOut + ".topdown.csv");
-            pmu->writeTopDownCsv(out);
-        }
+        });
+        sim::writeArtifact(opt.profOut + ".timeseries.csv",
+                           [&](std::ostream &out) {
+                               profiler->writeTimeSeriesCsv(out);
+                           });
+        sim::writeArtifact(opt.profOut + ".topdown.csv",
+                           [&](std::ostream &out) {
+                               pmu->writeTopDownCsv(out);
+                           });
         std::map<std::string, double> summary;
         summary["achieved_mrps"] = res.achievedMrps;
         summary["mean_us"] = res.latencyUs.mean();
@@ -620,8 +613,9 @@ runOnce(const Options &opt)
                     prof::pmuBucketName(bucket)] =
                 static_cast<double>(total);
         }
-        auto out = openOut(opt.profOut + ".json");
-        prof::writeFlatJson(out, summary);
+        sim::writeArtifact(opt.profOut + ".json", [&](std::ostream &out) {
+            prof::writeFlatJson(out, summary);
+        });
         std::fprintf(stderr,
                      "wrote %llu profile samples to %s.{folded,"
                      "timeseries.csv,topdown.csv,json}\n",
@@ -630,25 +624,24 @@ runOnce(const Options &opt)
                      opt.profOut.c_str());
     }
     if (pmu && !opt.pmuOut.empty()) {
-        auto out = openOut(opt.pmuOut);
-        pmu->writeCountersCsv(out);
+        sim::writeArtifact(opt.pmuOut, [&](std::ostream &out) {
+            pmu->writeCountersCsv(out);
+        });
         std::fprintf(stderr, "wrote PMU counters to %s\n",
                      opt.pmuOut.c_str());
     }
 
     if (!opt.traceOut.empty()) {
-        std::ofstream out(opt.traceOut);
-        if (!out)
-            sim::fatal("cannot open '%s'", opt.traceOut.c_str());
-        trace::writeChromeTrace(tracer, out);
+        sim::writeArtifact(opt.traceOut, [&](std::ostream &out) {
+            trace::writeChromeTrace(tracer, out);
+        });
         std::fprintf(stderr, "wrote %zu spans to %s\n",
                      tracer.numSpans(), opt.traceOut.c_str());
     }
     if (!opt.metricsOut.empty()) {
-        std::ofstream out(opt.metricsOut);
-        if (!out)
-            sim::fatal("cannot open '%s'", opt.metricsOut.c_str());
-        registry.writeCsv(out);
+        sim::writeArtifact(opt.metricsOut, [&](std::ostream &out) {
+            registry.writeCsv(out);
+        });
         std::fprintf(stderr, "wrote %zu metrics to %s\n",
                      registry.size(), opt.metricsOut.c_str());
     }
@@ -809,21 +802,14 @@ runCluster(const Options &opt, par::ThreadPool *pool)
 
     cluster::ClusterResult res = sim.run();
 
-    auto openOut = [](const std::string &path) {
-        std::ofstream out(path);
-        if (!out)
-            sim::fatal("cannot open '%s'", path.c_str());
-        return out;
-    };
     if (observer && !opt.obsOut.empty()) {
-        {
-            auto out = openOut(opt.obsOut + ".windows.csv");
-            observer->writeWindowsCsv(out);
-        }
-        {
-            auto out = openOut(opt.obsOut + ".events.csv");
+        sim::writeArtifact(opt.obsOut + ".windows.csv",
+                           [&](std::ostream &out) {
+                               observer->writeWindowsCsv(out);
+                           });
+        sim::writeArtifact(opt.obsOut + ".events.csv", [&](std::ostream &out) {
             observer->writeEventsCsv(out);
-        }
+        });
         std::fprintf(stderr,
                      "wrote %zu telemetry windows and %zu events to "
                      "%s.{windows,events}.csv\n",
@@ -831,8 +817,9 @@ runCluster(const Options &opt, par::ThreadPool *pool)
                      observer->events().size(), opt.obsOut.c_str());
     }
     if (observer && !opt.obsTraceOut.empty()) {
-        auto out = openOut(opt.obsTraceOut);
-        trace::writeChromeTrace(*observer->tracer(), out);
+        sim::writeArtifact(opt.obsTraceOut, [&](std::ostream &out) {
+            trace::writeChromeTrace(*observer->tracer(), out);
+        });
         std::fprintf(stderr, "wrote %zu fleet spans to %s\n",
                      observer->tracer()->numSpans(),
                      opt.obsTraceOut.c_str());
@@ -842,8 +829,9 @@ runCluster(const Options &opt, par::ThreadPool *pool)
         cluster::attachClusterMetrics(res, registry);
         if (observer)
             observer->attachMetrics(registry);
-        auto out = openOut(opt.metricsOut);
-        registry.writeCsv(out);
+        sim::writeArtifact(opt.metricsOut, [&](std::ostream &out) {
+            registry.writeCsv(out);
+        });
         std::fprintf(stderr, "wrote %zu metrics to %s\n",
                      registry.size(), opt.metricsOut.c_str());
     }
@@ -868,10 +856,9 @@ runCluster(const Options &opt, par::ThreadPool *pool)
             static_cast<double>(res.breakerOpens);
         json["cluster.ttr_us"] = res.timeToRecoverUs;
         json["cluster.slo_burn"] = res.sloBurn;
-        std::ofstream out(opt.jsonOut);
-        if (!out)
-            sim::fatal("cannot open '%s'", opt.jsonOut.c_str());
-        prof::writeFlatJson(out, json);
+        sim::writeArtifact(opt.jsonOut, [&](std::ostream &out) {
+            prof::writeFlatJson(out, json);
+        });
     }
 
     if (opt.csv) {
@@ -1024,11 +1011,9 @@ runSeedSweep(const Options &opt, par::ThreadPool *pool)
     std::vector<RunResult> results = workloads::runSeedSweep(w, cfg);
 
     if (!opt.jsonOut.empty()) {
-        std::ofstream out(opt.jsonOut);
-        if (!out)
-            sim::fatal("cannot open '%s'", opt.jsonOut.c_str());
-        prof::writeFlatJson(out,
-                            workloads::seedSweepJson(cfg, results));
+        sim::writeArtifact(opt.jsonOut, [&](std::ostream &out) {
+            prof::writeFlatJson(out, workloads::seedSweepJson(cfg, results));
+        });
         std::fprintf(stderr, "wrote %zu per-seed summaries to %s\n",
                      results.size(), opt.jsonOut.c_str());
     }
