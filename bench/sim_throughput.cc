@@ -7,7 +7,7 @@
  *
  *   - worker:  a full WorkerServer run on fig14's largest machine
  *     (256 cores, 2 sockets, per-socket orchestrators) — the serial
- *     calendar-queue EventQueue on the hottest single-machine
+ *     binary-heap EventQueue on the hottest single-machine
  *     configuration the paper evaluates;
  *   - cluster: a fleet run (8 servers, constant traffic at 70% of
  *     calibrated capacity) — the fleet DES.
@@ -17,7 +17,8 @@
  * which is why the timed regions carry D1 suppressions. The
  * events_per_sec keys in BENCH_sim_throughput.json are direction-aware
  * in jordprof (higher is better), so the perf-gate only trips when the
- * event core gets slower.
+ * event core gets slower. The counter.* keys (dispatched events) are
+ * deterministic, and the perf-gate compares them byte for byte.
  */
 
 #include <chrono>

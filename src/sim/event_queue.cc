@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace jord::sim {
@@ -11,29 +13,45 @@ EventQueue::push(Tick when, EventFn fn, bool daemon)
         panic("scheduling event in the past (when=%llu now=%llu)",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick_));
+    std::uint32_t slot;
+    if (freeSlots_.empty()) {
+        slot = static_cast<std::uint32_t>(fns_.size());
+        fns_.push_back(std::move(fn));
+    } else {
+        slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        fns_[slot] = std::move(fn);
+    }
     std::uint64_t handle = nextHandle_++;
     alive_.push_back(kPending);
-    queue_.push(EventRecord{when, nextSeq_++, handle, std::move(fn), daemon});
+    heap_.push_back(Key{when, handle, slot, daemon});
+    std::push_heap(heap_.begin(), heap_.end(), later);
     return handle;
 }
 
-bool
-EventQueue::isCancelled(std::uint64_t handle) const
+EventQueue::Key
+EventQueue::popTop()
 {
-    return cancelled_.count(handle) != 0;
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    Key top = heap_.back();
+    heap_.pop_back();
+    freeSlots_.push_back(top.slot);
+    return top;
 }
 
-void
-EventQueue::forgetCancelled(std::uint64_t handle)
+bool
+EventQueue::dropCancelled()
 {
-    cancelled_.erase(handle);
+    while (!heap_.empty() && !isPending(heap_.front().handle)) {
+        fns_[popTop().slot] = nullptr;
+        --numTombstones_;
+    }
+    return !heap_.empty();
 }
 
 void
 EventQueue::retire(std::uint64_t handle)
 {
-    if (handle < aliveBase_)
-        return; // window already slid past (reset() re-bases)
     alive_[handle - aliveBase_] = kDone;
     while (!alive_.empty() && alive_.front() == kDone) {
         alive_.pop_front();
@@ -44,35 +62,31 @@ EventQueue::retire(std::uint64_t handle)
 bool
 EventQueue::cancel(std::uint64_t handle)
 {
-    if (handle == 0 || handle >= nextHandle_ || handle < aliveBase_)
-        return false;
-    if (alive_[handle - aliveBase_] != kPending)
-        return false; // already fired or already cancelled
+    if (handle >= nextHandle_ || !isPending(handle))
+        return false; // never issued, already fired or already cancelled
     retire(handle);
-    // The entry itself stays queued (lazy deletion); dispatch drops it
-    // and purges this tombstone when its tick passes.
-    cancelled_.insert(handle);
+    // The key itself stays queued (lazy deletion); it is dropped when
+    // it reaches the top of the heap.
+    ++numTombstones_;
     return true;
 }
 
 bool
 EventQueue::step()
 {
-    while (!queue_.empty()) {
-        EventRecord entry = queue_.pop();
-        if (isCancelled(entry.handle)) {
-            forgetCancelled(entry.handle);
-            continue;
-        }
-        retire(entry.handle);
-        curTick_ = entry.when;
-        if (!entry.daemon)
-            lastWorkTick_ = entry.when;
-        ++numDispatched_;
-        entry.fn();
-        return true;
-    }
-    return false;
+    if (!dropCancelled())
+        return false;
+    Key top = popTop();
+    // Move the callback out first: it may schedule, which can grow fns_
+    // and hand this slot to a new event.
+    EventFn fn = std::move(fns_[top.slot]);
+    retire(top.handle);
+    curTick_ = top.when;
+    if (!top.daemon)
+        lastWorkTick_ = top.when;
+    ++numDispatched_;
+    fn();
+    return true;
 }
 
 Tick
@@ -86,11 +100,10 @@ EventQueue::run()
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    while (!queue_.empty()) {
-        if (queue_.peek()->when > limit)
-            break;
+    // Drop cancelled keys before looking at the top, so a cancelled
+    // entry inside the limit cannot let a later live event through.
+    while (dropCancelled() && heap_.front().when <= limit)
         step();
-    }
     if (curTick_ < limit)
         curTick_ = limit;
     return curTick_;
@@ -99,12 +112,13 @@ EventQueue::runUntil(Tick limit)
 void
 EventQueue::reset()
 {
-    queue_.clear();
+    heap_.clear();
+    fns_.clear();
+    freeSlots_.clear();
     curTick_ = 0;
     lastWorkTick_ = 0;
-    nextSeq_ = 0;
     numDispatched_ = 0;
-    cancelled_.clear();
+    numTombstones_ = 0;
     alive_.clear();
     aliveBase_ = nextHandle_;
 }

@@ -5,8 +5,10 @@
  * Events scheduled at the same tick fire in insertion order (FIFO), which
  * together with the seeded RNG makes every simulation run bit-reproducible.
  *
- * Storage is one calendar queue (sim/calendar_queue.hh) that pops in
- * exact (when, seq) order. The queue is serial by design: the
+ * Storage is one binary min-heap of small trivially copyable keys,
+ * ordered by (when, handle); handles are issued in insertion order, so
+ * the handle is the FIFO tie-break. Callbacks live beside the heap in a
+ * slab of reusable slots. The queue is serial by design: the
  * single-address-space machine couples every core to every other with
  * zero lookahead, so host parallelism lives across runs (par/), never
  * inside one.
@@ -18,12 +20,14 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_set>
+#include <vector>
 
-#include "sim/calendar_queue.hh"
 #include "sim/types.hh"
 
 namespace jord::sim {
+
+/** Callback type invoked when an event fires. */
+using EventFn = std::function<void()>;
 
 /**
  * A time-ordered queue of callbacks with deterministic tie-breaking.
@@ -43,11 +47,11 @@ class EventQueue
     /** Current simulated time in ticks. */
     Tick curTick() const { return curTick_; }
 
-    /** Number of pending events. */
-    std::size_t size() const { return queue_.size(); }
+    /** Number of queued entries, cancelled ones not yet popped included. */
+    std::size_t size() const { return heap_.size(); }
 
-    /** True when no events are pending. */
-    bool empty() const { return queue_.empty(); }
+    /** True when nothing is queued. */
+    bool empty() const { return heap_.empty(); }
 
     /** Total number of events dispatched so far. */
     std::uint64_t numDispatched() const { return numDispatched_; }
@@ -99,17 +103,17 @@ class EventQueue
      * @retval true if the event was pending and is now cancelled.
      * @retval false if it already fired, was already cancelled, or
      *     never existed. Stale handles are detected exactly (a dense
-     *     liveness window tracks every in-flight handle), so a stale
-     *     cancel can no longer plant a permanent tombstone.
+     *     liveness window tracks every in-flight handle), whatever
+     *     callback slot their event used.
      */
     bool cancel(std::uint64_t handle);
 
     /**
-     * Cancelled-but-not-yet-popped entries (lazy-deletion tombstones).
-     * Bounded by the pending-event count: each tombstone is purged
-     * when its entry's tick passes. Exposed for the regression test.
+     * Cancelled entries still in the heap (lazy-deletion tombstones).
+     * Bounded by the queued-entry count: each is dropped when it
+     * reaches the top of the heap.
      */
-    std::size_t numTombstones() const { return cancelled_.size(); }
+    std::size_t numTombstones() const { return numTombstones_; }
 
     /**
      * Dispatch the single next event.
@@ -136,35 +140,54 @@ class EventQueue
     static constexpr unsigned char kPending = 1;
     static constexpr unsigned char kDone = 0;
 
+    /** One heap entry; the callback sits in fns_[slot]. */
+    struct Key {
+        Tick when;
+        std::uint64_t handle;
+        std::uint32_t slot;
+        bool daemon;
+    };
+
+    /** Heap order: std heaps are max-heaps, so "less" means later. */
+    static bool
+    later(const Key &a, const Key &b)
+    {
+        if (a.when != b.when)
+            return a.when > b.when;
+        return a.handle > b.handle;
+    }
+
     std::uint64_t push(Tick when, EventFn fn, bool daemon);
+    /** Pop the top key and release its callback slot. */
+    Key popTop();
+    /** Drop cancelled keys off the top. @return false when empty. */
+    bool dropCancelled();
     /** Mark a handle fired/cancelled and trim the liveness window. */
     void retire(std::uint64_t handle);
 
-    CalendarQueue queue_;
+    std::vector<Key> heap_;
+    /** Callback slab, indexed by Key::slot; freeSlots_ lists reusable slots. */
+    std::vector<EventFn> fns_;
+    std::vector<std::uint32_t> freeSlots_;
     Tick curTick_ = 0;
     Tick lastWorkTick_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t nextHandle_ = 1;
     std::uint64_t numDispatched_ = 0;
-    /**
-     * Handles cancelled while still queued (lazy deletion). The
-     * dense liveness window below guarantees only *pending* handles
-     * enter this set, and dispatch purges each tombstone when its
-     * entry pops at its tick — so the set is bounded by the in-flight
-     * cancelled count instead of growing for the whole run.
-     */
-    std::unordered_set<std::uint64_t> cancelled_;
+    std::size_t numTombstones_ = 0;
     /**
      * Sliding liveness window: slot (h - aliveBase_) says whether
-     * handle h is still queued. Handles are issued sequentially, so a
+     * handle h is still pending. Handles are issued sequentially, so a
      * deque indexed by handle is O(1) and compacts itself as the
-     * oldest handles retire.
+     * oldest handles retire. A handle below aliveBase_ has retired.
      */
     std::deque<unsigned char> alive_;
     std::uint64_t aliveBase_ = 1;
 
-    bool isCancelled(std::uint64_t handle) const;
-    void forgetCancelled(std::uint64_t handle);
+    bool
+    isPending(std::uint64_t handle) const
+    {
+        return handle >= aliveBase_ && alive_[handle - aliveBase_] == kPending;
+    }
 };
 
 } // namespace jord::sim

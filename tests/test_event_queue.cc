@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -158,13 +159,21 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 
 TEST(EventQueue, CancelOfFiredHandleIsRejected)
 {
-    // Regression (issue 10): cancelling an already-fired handle used to
-    // return true and plant a tombstone that was never purged.
+    // Cancelling an already-fired handle used to return true and plant
+    // a tombstone that was never purged.
     EventQueue q;
     auto handle = q.schedule(10, [] {});
     q.run();
     EXPECT_FALSE(q.cancel(handle));
     EXPECT_EQ(q.numTombstones(), 0u);
+    // A new event now holds the fired event's callback slot; the stale
+    // handle must still be rejected and must not cancel the new event.
+    bool fired = false;
+    q.schedule(20, [&] { fired = true; });
+    EXPECT_FALSE(q.cancel(handle));
+    EXPECT_EQ(q.numTombstones(), 0u);
+    q.run();
+    EXPECT_TRUE(fired);
 }
 
 TEST(EventQueue, TombstonesArePurgedWhenTheirTickPasses)
@@ -191,8 +200,9 @@ TEST(EventQueue, TombstoneSetStaysBoundedUnderChurn)
         auto drop = q.schedule(q.curTick() + 2, [] {});
         EXPECT_TRUE(q.cancel(drop));
         // Stale re-cancel of a long-gone handle must stay rejected.
-        if (keep > 10)
+        if (keep > 10) {
             EXPECT_FALSE(q.cancel(keep - 10));
+        }
         while (!q.empty())
             q.step();
         EXPECT_LE(q.numTombstones(), 1u);
@@ -200,47 +210,100 @@ TEST(EventQueue, TombstoneSetStaysBoundedUnderChurn)
     EXPECT_EQ(q.numTombstones(), 0u);
 }
 
-TEST(EventQueue, CalendarStorageMatchesReferenceOrder)
+TEST(EventQueue, HeapStorageMatchesReferenceOrder)
 {
     // Deterministic pseudo-random schedule with wide tick spans, dense
-    // same-tick ties, and in-callback reschedules: the calendar-queue
-    // storage must reproduce exact (when, insertion) dispatch order.
+    // same-tick ties, daemon events, cancels and in-callback
+    // reschedules: the heap must reproduce exact (when, insertion)
+    // dispatch order. The reference is a stable sort of every
+    // non-cancelled event by tick, in the order it was scheduled.
     EventQueue q;
-    std::vector<std::pair<Tick, int>> fired;
     std::uint64_t lcg = 12345;
     auto next = [&lcg](std::uint64_t mod) {
         lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
         return (lcg >> 33) % mod;
     };
-    std::vector<std::pair<Tick, int>> expected;
-    int id = 0;
+    struct Ev {
+        Tick when;
+        int tag;
+        bool daemon;
+        bool cancelled;
+    };
+    std::vector<Ev> scheduled; // indexed by tag
+    std::vector<std::uint64_t> handles;
+    std::vector<std::pair<Tick, int>> fired;
+    auto cancelOne = [&] {
+        std::size_t victim = next(scheduled.size());
+        if (q.cancel(handles[victim]))
+            scheduled[victim].cancelled = true;
+    };
+    std::function<void(Tick, bool)> add = [&](Tick when, bool daemon) {
+        int tag = static_cast<int>(scheduled.size());
+        scheduled.push_back(Ev{when, tag, daemon, false});
+        auto fn = [&, when, tag] {
+            EXPECT_EQ(q.curTick(), when);
+            // Some callbacks schedule more events: a same-tick one
+            // (which must fire after everything already at this tick),
+            // a near one, and now and then cancel a pending event.
+            // The record is made afterwards, so the callback's own
+            // captures must outlive a new event taking its slot.
+            switch (next(6)) {
+            case 0:
+                add(q.curTick(), false);
+                break;
+            case 1:
+                add(q.curTick() + next(200), next(4) == 0);
+                break;
+            case 2:
+                cancelOne();
+                break;
+            default:
+                break;
+            }
+            fired.emplace_back(when, tag);
+        };
+        handles.push_back(daemon ? q.scheduleDaemon(when, fn)
+                                 : q.schedule(when, fn));
+    };
     for (int i = 0; i < 500; ++i) {
         // Mix near ticks, far ticks, and exact ties.
         Tick when = (i % 3 == 0) ? next(50)
                     : (i % 3 == 1) ? next(100000)
                                    : 42;
-        int tag = id++;
-        expected.emplace_back(when, tag);
-        q.schedule(when, [&fired, &q, when, tag] {
-            fired.emplace_back(when, tag);
-            EXPECT_EQ(q.curTick(), when);
-        });
+        add(when, i % 7 == 0);
+        if (i % 11 == 0)
+            cancelOne();
     }
-    std::stable_sort(expected.begin(), expected.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
     q.run();
-    EXPECT_EQ(fired, expected);
+
+    std::vector<Ev> expected;
+    for (const Ev &ev : scheduled)
+        if (!ev.cancelled)
+            expected.push_back(ev);
+    std::stable_sort(expected.begin(), expected.end(),
+                     [](const Ev &a, const Ev &b) {
+                         return a.when < b.when;
+                     });
+    std::vector<std::pair<Tick, int>> want;
+    Tick last_work = 0;
+    for (const Ev &ev : expected) {
+        want.emplace_back(ev.when, ev.tag);
+        if (!ev.daemon)
+            last_work = ev.when;
+    }
+    EXPECT_EQ(fired, want);
+    EXPECT_GT(scheduled.size(), 500u);
+    EXPECT_LT(expected.size(), scheduled.size());
+    EXPECT_EQ(q.numDispatched(), expected.size());
+    EXPECT_EQ(q.lastWorkTick(), last_work);
+    EXPECT_EQ(q.numTombstones(), 0u);
 }
 
-TEST(EventQueue, PushBehindARolledOverCalendarYear)
+TEST(EventQueue, PushBehindAFarFutureEventAfterRunUntil)
 {
-    // runUntil() peeks past its limit, and that peek rolls the calendar
-    // year forward to the only (far-future) event. A push that then
-    // lands between the current tick and the rolled year's start must
-    // still be stored (near heap) and fire in order: the bucket index
-    // computation must not underflow.
+    // runUntil() stops short of the only (far-future) event; a push
+    // that then lands between the current tick and that event must
+    // still fire first.
     EventQueue q;
     std::vector<Tick> fired;
     q.schedule(1000000, [&] { fired.push_back(q.curTick()); });
@@ -248,6 +311,23 @@ TEST(EventQueue, PushBehindARolledOverCalendarYear)
     q.schedule(100, [&] { fired.push_back(q.curTick()); });
     q.run();
     EXPECT_EQ(fired, (std::vector<Tick>{100, 1000000}));
+}
+
+TEST(EventQueue, RunUntilSkipsCancelledEventsWithoutOvershooting)
+{
+    // A cancelled entry inside the limit must not let runUntil() fire
+    // the next live event beyond the limit.
+    EventQueue q;
+    std::vector<Tick> fired;
+    auto early = q.schedule(10, [&] { fired.push_back(q.curTick()); });
+    q.schedule(100, [&] { fired.push_back(q.curTick()); });
+    EXPECT_TRUE(q.cancel(early));
+    EXPECT_EQ(q.runUntil(50), 50u);
+    EXPECT_TRUE(fired.empty());
+    EXPECT_EQ(q.curTick(), 50u);
+    EXPECT_EQ(q.numTombstones(), 0u);
+    q.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{100}));
 }
 
 TEST(EventQueue, ResetMakesOutstandingHandlesStale)
@@ -260,6 +340,8 @@ TEST(EventQueue, ResetMakesOutstandingHandlesStale)
     EXPECT_FALSE(q.cancel(stale));
     bool fired = false;
     q.schedule(5, [&] { fired = true; });
+    // The new event reuses the stale event's callback slot.
+    EXPECT_FALSE(q.cancel(stale));
     q.run();
     EXPECT_TRUE(fired);
 }
