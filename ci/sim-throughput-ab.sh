@@ -72,11 +72,14 @@ def write(path, values):
         f.write("\n")
 
 
+# A side may carry keys the other lacks (a change that adds a counter):
+# each side's median file holds its own keys.
 keys = sorted({key for _, key in samples})
 median = {sk: statistics.median(v) for sk, v in samples.items()}
 for side in ("base", "head"):
     write(f"{out}/{side}.median.json",
-          {key: median[(side, key)] for key in keys})
+          {key: median[(side, key)] for key in keys
+           if (side, key) in median})
 with open(f"{out}/bands.txt", "w") as bands:
     for key in keys:
         if "events_per_sec" not in key:

@@ -1,6 +1,7 @@
 #include "mem/coherence.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "prof/pmu.hh"
 #include "sim/logging.hh"
@@ -14,69 +15,207 @@ CoherenceEngine::CoherenceEngine(const sim::MachineConfig &cfg,
                                  const noc::Mesh &mesh)
     : cfg_(cfg), mesh_(mesh), l1s_(cfg.numCores)
 {
+    if (cfg.numCores > kMaxCores)
+        sim::fatal("%u cores exceed the %u the coherence directory tracks",
+              cfg.numCores, kMaxCores);
+}
+
+// --- FlatIndex ---------------------------------------------------------------
+
+std::size_t
+CoherenceEngine::FlatIndex::home(std::uint64_t key) const
+{
+    // Fibonacci hashing: the top bits of the product depend on every
+    // key bit.
+    return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                    shift_);
+}
+
+std::uint32_t
+CoherenceEngine::FlatIndex::find(std::uint64_t key) const
+{
+    if (slots_.empty())
+        return kNil;
+    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+        const Slot &slot = slots_[i];
+        if (slot.value == kNil || slot.key == key)
+            return slot.value;
+    }
+}
+
+std::uint32_t
+CoherenceEngine::FlatIndex::findOrInsert(std::uint64_t key,
+                                         std::uint32_t value)
+{
+    if (2 * (size_ + 1) > slots_.size())
+        grow();
+    for (std::size_t i = home(key);; i = (i + 1) & mask()) {
+        Slot &slot = slots_[i];
+        if (slot.value == kNil) {
+            slot = Slot{key, value};
+            ++size_;
+            return value;
+        }
+        if (slot.key == key)
+            return slot.value;
+    }
+}
+
+std::uint32_t
+CoherenceEngine::FlatIndex::erase(std::uint64_t key)
+{
+    if (slots_.empty())
+        return kNil;
+    std::size_t hole = home(key);
+    while (slots_[hole].value != kNil && slots_[hole].key != key)
+        hole = (hole + 1) & mask();
+    std::uint32_t value = slots_[hole].value;
+    if (value == kNil)
+        return kNil;
+    // Backward shift: pull each later entry of the run into the hole
+    // unless the hole lies before its home slot (cyclically).
+    for (std::size_t i = (hole + 1) & mask(); slots_[i].value != kNil;
+         i = (i + 1) & mask()) {
+        std::size_t h = home(slots_[i].key);
+        if (((i - h) & mask()) >= ((i - hole) & mask())) {
+            slots_[hole] = slots_[i];
+            hole = i;
+        }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    return value;
 }
 
 void
-CoherenceEngine::touchL1(unsigned core, Addr addr)
+CoherenceEngine::FlatIndex::clear()
 {
-    CoreL1 &l1 = l1s_[core];
-    auto it = l1.map.find(addr);
-    if (it != l1.map.end()) {
-        l1.lru.splice(l1.lru.begin(), l1.lru, it->second);
-        return;
-    }
-    l1.lru.push_front(addr);
-    l1.map[addr] = l1.lru.begin();
-    while (l1.map.size() > cfg_.l1Lines) {
-        Addr victim = l1.lru.back();
-        l1.lru.pop_back();
-        l1.map.erase(victim);
-        evictL1(core, victim);
-    }
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
 }
 
 void
-CoherenceEngine::dropFromL1(unsigned core, Addr addr)
+CoherenceEngine::FlatIndex::grow()
 {
-    CoreL1 &l1 = l1s_[core];
-    auto it = l1.map.find(addr);
-    if (it == l1.map.end())
-        return;
-    l1.lru.erase(it->second);
-    l1.map.erase(it);
+    std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+    old.swap(slots_);
+    shift_ = static_cast<unsigned>(64 - std::countr_zero(slots_.size()));
+    size_ = 0;
+    for (const Slot &slot : old)
+        if (slot.value != kNil)
+            findOrInsert(slot.key, slot.value);
 }
 
-CoherenceEngine::Line &
+// --- Lines and L1 residency --------------------------------------------------
+
+std::uint32_t
 CoherenceEngine::lineFor(Addr addr)
 {
-    return lines_[sim::blockAlign(addr)];
+    auto next = static_cast<std::uint32_t>(lines_.size());
+    std::uint32_t line =
+        lineIndex_.findOrInsert(addr / sim::kCacheBlockBytes, next);
+    if (line == next)
+        lines_.emplace_back();
+    return line;
+}
+
+std::uint32_t
+CoherenceEngine::findLine(Addr addr) const
+{
+    return lineIndex_.find(addr / sim::kCacheBlockBytes);
+}
+
+void
+CoherenceEngine::unlink(CoreL1 &l1, std::uint32_t node)
+{
+    const LruNode &n = nodes_[node];
+    (n.prev != kNil ? nodes_[n.prev].next : l1.head) = n.next;
+    (n.next != kNil ? nodes_[n.next].prev : l1.tail) = n.prev;
+}
+
+void
+CoherenceEngine::pushFront(CoreL1 &l1, std::uint32_t node)
+{
+    nodes_[node].prev = kNil;
+    nodes_[node].next = l1.head;
+    (l1.head != kNil ? nodes_[l1.head].prev : l1.tail) = node;
+    l1.head = node;
+}
+
+void
+CoherenceEngine::touchL1(unsigned core, std::uint32_t line)
+{
+    CoreL1 &l1 = l1s_[core];
+    std::uint32_t fresh = freeNodes_ != kNil
+                              ? freeNodes_
+                              : static_cast<std::uint32_t>(nodes_.size());
+    std::uint32_t node =
+        residency_.findOrInsert(residencyKey(line, core), fresh);
+    if (node != fresh) {
+        // Hit: move to the MRU end.
+        if (node != l1.head) {
+            unlink(l1, node);
+            pushFront(l1, node);
+        }
+        return;
+    }
+    if (fresh == freeNodes_)
+        freeNodes_ = nodes_[fresh].next;
+    else
+        nodes_.emplace_back();
+    nodes_[fresh].line = line;
+    pushFront(l1, fresh);
+    ++l1.size;
+    while (l1.size > cfg_.l1Lines) {
+        std::uint32_t victim = nodes_[l1.tail].line;
+        residency_.erase(residencyKey(victim, core));
+        freeNode(l1, l1.tail);
+        evictL1Line(core, lines_[victim]);
+    }
+}
+
+void
+CoherenceEngine::freeNode(CoreL1 &l1, std::uint32_t node)
+{
+    unlink(l1, node);
+    --l1.size;
+    nodes_[node].next = freeNodes_;
+    freeNodes_ = node;
+}
+
+void
+CoherenceEngine::dropFromL1(unsigned core, std::uint32_t line)
+{
+    std::uint32_t node = residency_.erase(residencyKey(line, core));
+    if (node != kNil)
+        freeNode(l1s_[core], node);
 }
 
 CacheState
 CoherenceEngine::stateOf(Addr addr) const
 {
-    auto it = lines_.find(sim::blockAlign(addr));
-    return it == lines_.end() ? CacheState::Invalid : it->second.state;
+    std::uint32_t line = findLine(addr);
+    return line == kNil ? CacheState::Invalid : lines_[line].state;
 }
 
 bool
 CoherenceEngine::cachedIn(unsigned core, Addr addr) const
 {
-    auto it = lines_.find(sim::blockAlign(addr));
-    return it != lines_.end() && it->second.sharers.test(core);
+    std::uint32_t line = findLine(addr);
+    return line != kNil && lines_[line].sharers.test(core);
 }
 
 CoreMask
 CoherenceEngine::sharersOf(Addr addr) const
 {
-    auto it = lines_.find(sim::blockAlign(addr));
-    return it == lines_.end() ? CoreMask{} : it->second.sharers;
+    std::uint32_t line = findLine(addr);
+    return line == kNil ? CoreMask{} : lines_[line].sharers;
 }
 
 Cycles
 CoherenceEngine::invalidateSharers(unsigned home, Line &line,
-                                   Addr addr_of_line, unsigned except,
-                                   unsigned &messages)
+                                   std::uint32_t line_index,
+                                   unsigned except, unsigned &messages)
 {
     Cycles worst = 0;
     line.sharers.forEach([&](unsigned sharer) {
@@ -88,7 +227,7 @@ CoherenceEngine::invalidateSharers(unsigned home, Line &line,
         worst = std::max(worst, rt);
         messages += 2;
         ++stats_.invalidations;
-        dropFromL1(sharer, addr_of_line);
+        dropFromL1(sharer, line_index);
     });
     CoreMask keep;
     if (line.sharers.test(except))
@@ -127,7 +266,8 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
     ++stats_.reads;
     if (tbit)
         ++stats_.tbitReads;
-    Line &line = lineFor(addr);
+    std::uint32_t index = lineFor(addr);
+    Line &line = lines_[index];
     Access acc;
 
     if (line.state != CacheState::Invalid && line.sharers.test(core)) {
@@ -138,7 +278,7 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
         acc.l1Hit = true;
         acc.latency = cfg_.l1HitCycles;
         ++stats_.l1Hits;
-        touchL1(core, addr);
+        touchL1(core, index);
         if (tbit && observer_)
             observer_->translationRead(core, addr);
         notePmu(core, acc, core);
@@ -188,7 +328,7 @@ CoherenceEngine::read(unsigned core, Addr addr, bool tbit)
         line.sharers.set(core);
     }
 
-    touchL1(core, addr);
+    touchL1(core, index);
 
     if (tbit && observer_)
         observer_->translationRead(core, addr);
@@ -206,7 +346,8 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
     ++stats_.writes;
     if (tbit)
         ++stats_.tbitWrites;
-    Line &line = lineFor(addr);
+    std::uint32_t index = lineFor(addr);
+    Line &line = lines_[index];
     Access acc;
 
     bool own_exclusive =
@@ -220,7 +361,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
         acc.l1Hit = true;
         acc.latency = cfg_.l1HitCycles;
         ++stats_.l1Hits;
-        touchL1(core, addr);
+        touchL1(core, index);
         if (tbit && observer_)
             observer_->translationWriteLocal(core, addr);
         notePmu(core, acc, core);
@@ -244,7 +385,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
         acc.messages += 2;
         ++stats_.invalidations;
         line.sharers.forEach(
-            [&](unsigned sharer) { dropFromL1(sharer, addr); });
+            [&](unsigned sharer) { dropFromL1(sharer, index); });
         line.sharers.reset();
         line.inLlc = true;
         acc.llcHit = true;
@@ -253,7 +394,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
         // Upgrade: parallel invalidations to all other sharers; data comes
         // from the LLC if this core was not already a sharer.
         Cycles inval =
-            invalidateSharers(home, line, addr, core, acc.messages);
+            invalidateSharers(home, line, index, core, acc.messages);
         Cycles data = line.sharers.test(core)
                           ? 0
                           : mesh_.latency(home, core, noc::MsgKind::Data);
@@ -279,7 +420,7 @@ CoherenceEngine::write(unsigned core, Addr addr, bool tbit)
     line.owner = core;
     line.sharers.reset();
     line.sharers.set(core);
-    touchL1(core, addr);
+    touchL1(core, index);
 
     if (tbit && observer_) {
         lat += observer_->translationWrite(core, addr, prev_sharers);
@@ -303,11 +444,14 @@ CoherenceEngine::atomic(unsigned core, Addr addr)
 void
 CoherenceEngine::evictL1(unsigned core, Addr addr)
 {
-    addr = sim::blockAlign(addr);
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
-        return;
-    Line &line = it->second;
+    std::uint32_t line = findLine(addr);
+    if (line != kNil)
+        evictL1Line(core, lines_[line]);
+}
+
+void
+CoherenceEngine::evictL1Line(unsigned core, Line &line)
+{
     if (!line.sharers.test(core))
         return;
     line.sharers.clear(core);
@@ -326,23 +470,27 @@ CoherenceEngine::evictL1(unsigned core, Addr addr)
 void
 CoherenceEngine::evictDirectory(Addr addr)
 {
-    addr = sim::blockAlign(addr);
-    auto it = lines_.find(addr);
-    if (it == lines_.end())
+    // Every access leaves its block with an LLC copy, so a line without
+    // one was reset here before and is as absent as an untouched block.
+    std::uint32_t line = findLine(addr);
+    if (line == kNil || !lines_[line].inLlc)
         return;
     if (observer_)
-        observer_->directoryEvict(addr, it->second.sharers);
-    lines_.erase(it);
+        observer_->directoryEvict(sim::blockAlign(addr),
+                                  lines_[line].sharers);
+    // Reset rather than free: L1 entries left behind still name the slot.
+    lines_[line] = Line{};
 }
 
 void
 CoherenceEngine::flushAll()
 {
     lines_.clear();
-    for (auto &l1 : l1s_) {
-        l1.lru.clear();
-        l1.map.clear();
-    }
+    lineIndex_.clear();
+    nodes_.clear();
+    freeNodes_ = kNil;
+    residency_.clear();
+    std::fill(l1s_.begin(), l1s_.end(), CoreL1{});
 }
 
 } // namespace jord::mem

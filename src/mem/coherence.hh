@@ -14,14 +14,20 @@
  * coherence traffic that reaches the home directory, the registered
  * TranslationObserver (the VTD) is notified and may add latency for the
  * VLB-shootdown fan-out it performs.
+ *
+ * Storage is flat (DESIGN.md §14): tracked blocks live in a dense slab
+ * of lines found through an open-addressed index, and each core's L1
+ * is an exact-LRU intrusive list over a shared node pool, found through
+ * a second open-addressed index keyed by (line, core). A slab slot is
+ * never reused before flushAll(), so a stale L1 entry can only ever name
+ * its own block.
  */
 
 #ifndef JORD_MEM_COHERENCE_HH
 #define JORD_MEM_COHERENCE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/core_mask.hh"
@@ -119,6 +125,8 @@ struct CoherenceStats {
 class CoherenceEngine
 {
   public:
+    /** Fatal if @p cfg has more than kMaxCores cores (the CoreMask
+     * width). */
     CoherenceEngine(const sim::MachineConfig &cfg, const noc::Mesh &mesh);
 
     /** Timed read of one block by @p core. */
@@ -180,42 +188,116 @@ class CoherenceEngine
 
   private:
     struct Line {
-        CacheState state = CacheState::Invalid;
         CoreMask sharers;      ///< cores holding the line in L1
         unsigned owner = 0;    ///< valid when state is Modified/Exclusive
+        CacheState state = CacheState::Invalid;
         bool inLlc = false;    ///< block has an on-chip LLC copy
     };
 
-    /** Per-core L1 residency tracking with LRU capacity eviction. */
+    /** "No entry": an empty index slot, a list end, an empty free list. */
+    static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+    /**
+     * Open-addressed map from a 64-bit key to a 32-bit value: linear
+     * probing, power-of-two capacity grown on demand to keep the load at
+     * most 1/2, erase by backward shift (no tombstones). Only grow()
+     * walks the slots, so hash order never reaches an output.
+     */
+    class FlatIndex
+    {
+      public:
+        /** Value stored for @p key, or kNil. */
+        std::uint32_t find(std::uint64_t key) const;
+
+        /** Value stored for @p key; if absent, store @p value and return
+         * it. One probe sequence either way. */
+        std::uint32_t findOrInsert(std::uint64_t key, std::uint32_t value);
+
+        /** Remove @p key; return the value it held, or kNil. */
+        std::uint32_t erase(std::uint64_t key);
+
+        /** Remove every key (keeps the capacity). */
+        void clear();
+
+      private:
+        struct Slot {
+            std::uint64_t key = 0;
+            std::uint32_t value = kNil; ///< kNil marks an empty slot
+        };
+
+        std::vector<Slot> slots_;
+        std::size_t size_ = 0;
+        unsigned shift_ = 64; ///< 64 - log2(capacity)
+
+        std::size_t home(std::uint64_t key) const;
+        std::size_t mask() const { return slots_.size() - 1; }
+        void grow();
+    };
+
+    /** One L1 residency: a node of its core's LRU list. */
+    struct LruNode {
+        std::uint32_t line; ///< slab index of the resident block
+        std::uint32_t prev; ///< towards the MRU end; kNil at the head
+        std::uint32_t next; ///< towards the LRU end; free-list link
+    };
+
+    /** One core's L1: its LRU list ends and length. */
     struct CoreL1 {
-        std::list<sim::Addr> lru; ///< front = most recent
-        std::unordered_map<sim::Addr, std::list<sim::Addr>::iterator>
-            map;
+        std::uint32_t head = kNil; ///< most recently used
+        std::uint32_t tail = kNil; ///< next victim
+        std::uint32_t size = 0;
     };
 
     const sim::MachineConfig cfg_;
     const noc::Mesh &mesh_;
     TranslationObserver *observer_ = nullptr;
     prof::Pmu *pmu_ = nullptr;
-    std::unordered_map<sim::Addr, Line> lines_;
+    std::vector<Line> lines_;    ///< slab; a slot is never reused
+    FlatIndex lineIndex_;        ///< block number -> slab index
+    std::vector<LruNode> nodes_; ///< pool shared by every core's list
+    std::uint32_t freeNodes_ = kNil;
+    FlatIndex residency_;        ///< residencyKey(line, core) -> node
     std::vector<CoreL1> l1s_;
     CoherenceStats stats_;
 
-    Line &lineFor(sim::Addr addr);
+    static std::uint64_t
+    residencyKey(std::uint32_t line, unsigned core)
+    {
+        return (static_cast<std::uint64_t>(line) << 32) | core;
+    }
+
+    /** Slab index of block-aligned @p addr, adding an Invalid line if
+     * the block was never touched. */
+    std::uint32_t lineFor(sim::Addr addr);
+
+    /** Slab index of @p addr's block, or kNil if never touched. */
+    std::uint32_t findLine(sim::Addr addr) const;
 
     /** PMU bookkeeping for one finished access (no timing effect). */
     void notePmu(unsigned core, const Access &acc, unsigned home);
 
-    /** Record residency of @p addr in @p core's L1; evicts LRU victims
-     * beyond the configured capacity. */
-    void touchL1(unsigned core, sim::Addr addr);
+    /** Record residency of @p line in @p core's L1 as most recent;
+     * evicts LRU victims beyond the configured capacity. */
+    void touchL1(unsigned core, std::uint32_t line);
 
-    /** Remove @p addr from @p core's LRU bookkeeping (invalidation). */
-    void dropFromL1(unsigned core, sim::Addr addr);
+    /** Remove @p line from @p core's LRU bookkeeping (invalidation). */
+    void dropFromL1(unsigned core, std::uint32_t line);
+
+    /** Take @p node out of @p l1's list. */
+    void unlink(CoreL1 &l1, std::uint32_t node);
+
+    /** Make @p node the most recent in @p l1's list. */
+    void pushFront(CoreL1 &l1, std::uint32_t node);
+
+    /** Unlink @p node from @p l1 and return it to the pool. */
+    void freeNode(CoreL1 &l1, std::uint32_t node);
+
+    /** evictL1() of a line already looked up. */
+    void evictL1Line(unsigned core, Line &line);
 
     /** Max parallel invalidation round-trip from home to all sharers. */
     sim::Cycles invalidateSharers(unsigned home, Line &line,
-                                  sim::Addr addr_of_line,
+                                  std::uint32_t line_index,
                                   unsigned except, unsigned &messages);
 };
 

@@ -7,6 +7,11 @@
  * without error. Whoever reads @p path, including a second run that
  * overlaps this one, sees the previous file or the complete new one,
  * never a torn write; a failed write leaves no temporary behind.
+ *
+ * A symlink is followed and its final target is the file replaced, so
+ * the link stays a link. A target that exists but is not a regular
+ * file (a device such as /dev/null, a FIFO) cannot be renamed over and
+ * is written in place instead.
  */
 
 #ifndef JORD_SIM_ATOMIC_FILE_HH
@@ -15,12 +20,44 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <system_error>
 
 #include "sim/logging.hh"
 
 namespace jord::sim {
+
+/** @p path with symlinks in its last component followed (at most 40
+ * of them, the usual loop limit); a dangling link yields its target. */
+inline std::filesystem::path
+followLinks(const std::filesystem::path &path)
+{
+    namespace fs = std::filesystem;
+    fs::path p = path;
+    std::error_code ec;
+    for (int hops = 0; hops < 40 && fs::is_symlink(p, ec); ++hops) {
+        fs::path target = fs::read_symlink(p, ec);
+        if (ec)
+            break;
+        p = target.is_absolute() ? target : p.parent_path() / target;
+    }
+    return p;
+}
+
+/** Put what @p write emits into the stream opened on @p path. */
+template <typename Writer>
+bool
+writeStream(const std::string &path, Writer &&write)
+{
+    std::ofstream out(path);
+    if (!out)
+        return false;
+    write(out);
+    out.close();
+    return static_cast<bool>(out);
+}
 
 /**
  * Atomically replace @p path with what @p write puts on the stream it
@@ -31,19 +68,19 @@ template <typename Writer>
 bool
 writeFileAtomic(const std::string &path, Writer &&write)
 {
-    const std::string tmp = path + ".tmp." + std::to_string(getpid());
-    {
-        std::ofstream out(tmp);
-        if (!out)
-            return false;
-        write(out);
-        out.close();
-        if (!out) {
-            std::remove(tmp.c_str());
-            return false;
-        }
+    const std::string target = followLinks(path).string();
+    std::error_code ec;
+    auto status = std::filesystem::status(target, ec);
+    if (std::filesystem::exists(status) &&
+        !std::filesystem::is_regular_file(status))
+        return writeStream(target, write);
+
+    const std::string tmp = target + ".tmp." + std::to_string(getpid());
+    if (!writeStream(tmp, write)) {
+        std::remove(tmp.c_str());
+        return false;
     }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    if (std::rename(tmp.c_str(), target.c_str()) != 0) {
         std::remove(tmp.c_str());
         return false;
     }

@@ -1,19 +1,28 @@
 /**
  * @file
  * Tests for the directory-based MESI coherence engine: state
- * transitions, timing ordering, L1 capacity, atomics, and the T-bit
- * observer protocol.
+ * transitions, timing ordering, L1 capacity, atomics, the T-bit
+ * observer protocol, the core-count limit, and a seeded differential
+ * run against a node-based reference engine.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <tuple>
+#include <unordered_map>
+#include <vector>
+
 #include "mem/coherence.hh"
+#include "sim/rng.hh"
 
 namespace {
 
 using jord::mem::Access;
 using jord::mem::CacheState;
 using jord::mem::CoherenceEngine;
+using jord::mem::CoherenceStats;
 using jord::mem::CoreMask;
 using jord::mem::TranslationObserver;
 using jord::noc::Mesh;
@@ -290,6 +299,436 @@ TEST_F(CoherenceTest, DirectoryEvictNotifiesWithSharers)
     EXPECT_EQ(obs.evicts, 1u);
     EXPECT_TRUE(obs.lastDir.test(3));
     EXPECT_EQ(engine.stateOf(kA), CacheState::Invalid);
+}
+
+// --- Core-count limit --------------------------------------------------------
+
+TEST(CoherenceDeathTest, MoreCoresThanTheSharerMaskHoldsAreFatal)
+{
+    MachineConfig cfg = MachineConfig::scaled(512, 2);
+    Mesh mesh{cfg};
+    EXPECT_EXIT(CoherenceEngine(cfg, mesh), ::testing::ExitedWithCode(1),
+                "512 cores exceed the 256");
+}
+
+TEST(CoherenceLimit, LargestScaledMachineIsAccepted)
+{
+    MachineConfig cfg = MachineConfig::scaled(jord::mem::kMaxCores, 2);
+    Mesh mesh{cfg};
+    CoherenceEngine engine{cfg, mesh};
+    engine.read(cfg.numCores - 1, kA);
+    EXPECT_TRUE(engine.cachedIn(cfg.numCores - 1, kA));
+}
+
+// --- Differential run against the node-based reference engine ---------------
+
+/**
+ * The engine as it was before its storage went flat: an
+ * unordered_map line table and a std::list + unordered_map LRU per
+ * core. Same protocol, same latencies, same victims.
+ */
+class ReferenceEngine
+{
+  public:
+    ReferenceEngine(const MachineConfig &cfg, const Mesh &mesh)
+        : cfg_(cfg), mesh_(mesh), l1s_(cfg.numCores)
+    {
+    }
+
+    void setTranslationObserver(TranslationObserver *o) { observer_ = o; }
+    const CoherenceStats &stats() const { return stats_; }
+
+    CacheState
+    stateOf(Addr addr) const
+    {
+        auto it = lines_.find(jord::sim::blockAlign(addr));
+        return it == lines_.end() ? CacheState::Invalid : it->second.state;
+    }
+
+    bool
+    cachedIn(unsigned core, Addr addr) const
+    {
+        auto it = lines_.find(jord::sim::blockAlign(addr));
+        return it != lines_.end() && it->second.sharers.test(core);
+    }
+
+    CoreMask
+    sharersOf(Addr addr) const
+    {
+        auto it = lines_.find(jord::sim::blockAlign(addr));
+        return it == lines_.end() ? CoreMask{} : it->second.sharers;
+    }
+
+    Access
+    read(unsigned core, Addr addr, bool tbit)
+    {
+        addr = jord::sim::blockAlign(addr);
+        ++stats_.reads;
+        if (tbit)
+            ++stats_.tbitReads;
+        Line &line = lines_[addr];
+        Access acc;
+        if (line.state != CacheState::Invalid && line.sharers.test(core)) {
+            acc.l1Hit = true;
+            acc.latency = cfg_.l1HitCycles;
+            ++stats_.l1Hits;
+            touchL1(core, addr);
+            if (tbit && observer_)
+                observer_->translationRead(core, addr);
+            return acc;
+        }
+        unsigned home = mesh_.homeSlice(addr, core);
+        Cycles lat = cfg_.l1HitCycles;
+        lat += mesh_.latency(core, home, jord::noc::MsgKind::Control);
+        lat += cfg_.llcHitCycles;
+        acc.messages = 1;
+        if (line.state == CacheState::Modified ||
+            line.state == CacheState::Exclusive) {
+            unsigned owner = line.owner;
+            lat += mesh_.latency(home, owner, jord::noc::MsgKind::Control);
+            lat += mesh_.latency(owner, core, jord::noc::MsgKind::Data);
+            acc.messages += 2;
+            line.inLlc = true;
+            line.state = CacheState::Shared;
+            line.sharers.set(core);
+            acc.llcHit = true;
+            ++stats_.llcHits;
+        } else if (line.inLlc || line.state == CacheState::Shared) {
+            lat += mesh_.latency(home, core, jord::noc::MsgKind::Data);
+            acc.messages += 1;
+            acc.llcHit = true;
+            ++stats_.llcHits;
+            if (line.state == CacheState::Invalid || line.sharers.none()) {
+                line.state = CacheState::Exclusive;
+                line.owner = core;
+            } else {
+                line.state = CacheState::Shared;
+            }
+            line.sharers.set(core);
+        } else {
+            lat += cfg_.dramCycles;
+            lat += mesh_.latency(home, core, jord::noc::MsgKind::Data);
+            acc.messages += 1;
+            ++stats_.dramFills;
+            line.inLlc = true;
+            line.state = CacheState::Exclusive;
+            line.owner = core;
+            line.sharers.set(core);
+        }
+        touchL1(core, addr);
+        if (tbit && observer_)
+            observer_->translationRead(core, addr);
+        acc.latency = lat;
+        stats_.messages += acc.messages;
+        return acc;
+    }
+
+    Access
+    write(unsigned core, Addr addr, bool tbit)
+    {
+        addr = jord::sim::blockAlign(addr);
+        ++stats_.writes;
+        if (tbit)
+            ++stats_.tbitWrites;
+        Line &line = lines_[addr];
+        Access acc;
+        if ((line.state == CacheState::Modified ||
+             line.state == CacheState::Exclusive) &&
+            line.owner == core && line.sharers.test(core)) {
+            line.state = CacheState::Modified;
+            acc.l1Hit = true;
+            acc.latency = cfg_.l1HitCycles;
+            ++stats_.l1Hits;
+            touchL1(core, addr);
+            if (tbit && observer_)
+                observer_->translationWriteLocal(core, addr);
+            return acc;
+        }
+        unsigned home = mesh_.homeSlice(addr, core);
+        Cycles lat = cfg_.l1HitCycles;
+        lat += mesh_.latency(core, home, jord::noc::MsgKind::Control);
+        lat += cfg_.llcHitCycles;
+        acc.messages = 1;
+        CoreMask prev_sharers = line.sharers;
+        if (line.state == CacheState::Modified ||
+            line.state == CacheState::Exclusive) {
+            unsigned owner = line.owner;
+            lat += mesh_.latency(home, owner, jord::noc::MsgKind::Control);
+            lat += mesh_.latency(owner, core, jord::noc::MsgKind::Data);
+            acc.messages += 2;
+            ++stats_.invalidations;
+            line.sharers.forEach(
+                [&](unsigned sharer) { dropFromL1(sharer, addr); });
+            line.sharers.reset();
+            line.inLlc = true;
+            acc.llcHit = true;
+            ++stats_.llcHits;
+        } else if (line.state == CacheState::Shared) {
+            Cycles inval = 0;
+            line.sharers.forEach([&](unsigned sharer) {
+                if (sharer == core)
+                    return;
+                inval = std::max(inval,
+                                 mesh_.roundTrip(home, sharer,
+                                                 jord::noc::MsgKind::Control));
+                acc.messages += 2;
+                ++stats_.invalidations;
+                dropFromL1(sharer, addr);
+            });
+            CoreMask keep;
+            if (line.sharers.test(core))
+                keep.set(core);
+            line.sharers = keep;
+            Cycles data =
+                line.sharers.test(core)
+                    ? 0
+                    : mesh_.latency(home, core, jord::noc::MsgKind::Data);
+            if (data > 0)
+                acc.messages += 1;
+            lat += std::max(inval, data);
+            acc.llcHit = true;
+            ++stats_.llcHits;
+        } else if (line.inLlc) {
+            lat += mesh_.latency(home, core, jord::noc::MsgKind::Data);
+            acc.messages += 1;
+            acc.llcHit = true;
+            ++stats_.llcHits;
+        } else {
+            lat += cfg_.dramCycles;
+            lat += mesh_.latency(home, core, jord::noc::MsgKind::Data);
+            acc.messages += 1;
+            ++stats_.dramFills;
+            line.inLlc = true;
+        }
+        line.state = CacheState::Modified;
+        line.owner = core;
+        line.sharers.reset();
+        line.sharers.set(core);
+        touchL1(core, addr);
+        if (tbit && observer_)
+            lat += observer_->translationWrite(core, addr, prev_sharers);
+        acc.latency = lat;
+        stats_.messages += acc.messages;
+        return acc;
+    }
+
+    Access
+    atomic(unsigned core, Addr addr)
+    {
+        ++stats_.atomics;
+        Access acc = write(core, addr, false);
+        acc.latency += 1;
+        return acc;
+    }
+
+    void
+    evictL1(unsigned core, Addr addr)
+    {
+        auto it = lines_.find(jord::sim::blockAlign(addr));
+        if (it == lines_.end())
+            return;
+        Line &line = it->second;
+        if (!line.sharers.test(core))
+            return;
+        line.sharers.clear(core);
+        if ((line.state == CacheState::Modified ||
+             line.state == CacheState::Exclusive) &&
+            line.owner == core) {
+            line.state = line.sharers.none() ? CacheState::Invalid
+                                             : CacheState::Shared;
+            line.inLlc = true;
+        } else if (line.sharers.none()) {
+            line.state = CacheState::Invalid;
+        }
+    }
+
+    void
+    evictDirectory(Addr addr)
+    {
+        addr = jord::sim::blockAlign(addr);
+        auto it = lines_.find(addr);
+        if (it == lines_.end())
+            return;
+        if (observer_)
+            observer_->directoryEvict(addr, it->second.sharers);
+        lines_.erase(it);
+    }
+
+    void
+    flushAll()
+    {
+        lines_.clear();
+        for (auto &l1 : l1s_) {
+            l1.lru.clear();
+            l1.map.clear();
+        }
+    }
+
+  private:
+    struct Line {
+        CacheState state = CacheState::Invalid;
+        CoreMask sharers;
+        unsigned owner = 0;
+        bool inLlc = false;
+    };
+
+    struct CoreL1 {
+        std::list<Addr> lru;
+        std::unordered_map<Addr, std::list<Addr>::iterator> map;
+    };
+
+    const MachineConfig cfg_;
+    const Mesh &mesh_;
+    TranslationObserver *observer_ = nullptr;
+    std::unordered_map<Addr, Line> lines_;
+    std::vector<CoreL1> l1s_;
+    CoherenceStats stats_;
+
+    void
+    touchL1(unsigned core, Addr addr)
+    {
+        CoreL1 &l1 = l1s_[core];
+        auto it = l1.map.find(addr);
+        if (it != l1.map.end()) {
+            l1.lru.splice(l1.lru.begin(), l1.lru, it->second);
+            return;
+        }
+        l1.lru.push_front(addr);
+        l1.map[addr] = l1.lru.begin();
+        while (l1.map.size() > cfg_.l1Lines) {
+            Addr victim = l1.lru.back();
+            l1.lru.pop_back();
+            l1.map.erase(victim);
+            evictL1(core, victim);
+        }
+    }
+
+    void
+    dropFromL1(unsigned core, Addr addr)
+    {
+        CoreL1 &l1 = l1s_[core];
+        auto it = l1.map.find(addr);
+        if (it == l1.map.end())
+            return;
+        l1.lru.erase(it->second);
+        l1.map.erase(it);
+    }
+};
+
+/** Observer that logs every call and answers writes with a latency
+ * derived from its arguments, so both engines must pass the same ones. */
+struct LoggingObserver : TranslationObserver {
+    /** (kind, core, block, sharer mask) per call. */
+    std::vector<std::tuple<char, unsigned, Addr, CoreMask>> calls;
+
+    void
+    translationRead(unsigned core, Addr addr) override
+    {
+        calls.emplace_back('r', core, addr, CoreMask{});
+    }
+    Cycles
+    translationWrite(unsigned core, Addr addr, const CoreMask &dir) override
+    {
+        calls.emplace_back('w', core, addr, dir);
+        return dir.count() * 7 + (addr / 64) % 5;
+    }
+    void
+    translationWriteLocal(unsigned core, Addr addr) override
+    {
+        calls.emplace_back('l', core, addr, CoreMask{});
+    }
+    void
+    directoryEvict(Addr addr, const CoreMask &dir) override
+    {
+        calls.emplace_back('e', 0, addr, dir);
+    }
+};
+
+bool
+operator==(const CoherenceStats &a, const CoherenceStats &b)
+{
+    return a.reads == b.reads && a.writes == b.writes &&
+           a.atomics == b.atomics && a.l1Hits == b.l1Hits &&
+           a.llcHits == b.llcHits && a.dramFills == b.dramFills &&
+           a.invalidations == b.invalidations &&
+           a.messages == b.messages && a.tbitReads == b.tbitReads &&
+           a.tbitWrites == b.tbitWrites;
+}
+
+TEST(CoherenceDifferential, FlatEngineMatchesTheReferenceOpForOp)
+{
+    MachineConfig cfg = MachineConfig::scaled(16, 1);
+    cfg.l1Lines = 8;
+    Mesh mesh{cfg};
+    CoherenceEngine engine{cfg, mesh};
+    ReferenceEngine ref{cfg, mesh};
+    LoggingObserver engine_obs;
+    LoggingObserver ref_obs;
+    engine.setTranslationObserver(&engine_obs);
+    ref.setTranslationObserver(&ref_obs);
+
+    // 48 blocks over 16 cores of 8 lines: capacity victims, sharing,
+    // ownership moves and index growth all happen; a sub-block offset
+    // checks alignment.
+    constexpr unsigned kBlocks = 48;
+    jord::sim::Rng rng(0xc0e4e4ce);
+    std::vector<Addr> touched;
+    for (unsigned op = 0; op < 12000; ++op) {
+        auto core = static_cast<unsigned>(rng.uniformInt(cfg.numCores));
+        Addr addr = kA + rng.uniformInt(kBlocks) * 64 + rng.uniformInt(64);
+        bool tbit = rng.uniformInt(4) == 0;
+        auto kind = rng.uniformInt(1000);
+        if (std::find(touched.begin(), touched.end(),
+                      jord::sim::blockAlign(addr)) == touched.end())
+            touched.push_back(jord::sim::blockAlign(addr));
+
+        if (kind < 450) {
+            Access a = engine.read(core, addr, tbit);
+            Access b = ref.read(core, addr, tbit);
+            ASSERT_EQ(std::tie(a.latency, a.l1Hit, a.llcHit, a.messages),
+                      std::tie(b.latency, b.l1Hit, b.llcHit, b.messages))
+                << "read, op " << op;
+        } else if (kind < 850) {
+            Access a = engine.write(core, addr, tbit);
+            Access b = ref.write(core, addr, tbit);
+            ASSERT_EQ(std::tie(a.latency, a.l1Hit, a.llcHit, a.messages),
+                      std::tie(b.latency, b.l1Hit, b.llcHit, b.messages))
+                << "write, op " << op;
+        } else if (kind < 930) {
+            Access a = engine.atomic(core, addr);
+            Access b = ref.atomic(core, addr);
+            ASSERT_EQ(std::tie(a.latency, a.l1Hit, a.llcHit, a.messages),
+                      std::tie(b.latency, b.l1Hit, b.llcHit, b.messages))
+                << "atomic, op " << op;
+        } else if (kind < 985) {
+            engine.evictL1(core, addr);
+            ref.evictL1(core, addr);
+        } else if (kind < 999) {
+            engine.evictDirectory(addr);
+            ref.evictDirectory(addr);
+        } else {
+            engine.flushAll();
+            ref.flushAll();
+        }
+
+        ASSERT_TRUE(engine.stats() == ref.stats()) << "op " << op;
+        ASSERT_EQ(engine_obs.calls, ref_obs.calls) << "op " << op;
+        engine_obs.calls.clear();
+        ref_obs.calls.clear();
+        for (Addr block : touched) {
+            ASSERT_EQ(engine.stateOf(block), ref.stateOf(block))
+                << "op " << op << " block " << block;
+            ASSERT_EQ(engine.sharersOf(block), ref.sharersOf(block))
+                << "op " << op << " block " << block;
+            for (unsigned c = 0; c < cfg.numCores; ++c)
+                ASSERT_EQ(engine.cachedIn(c, block), ref.cachedIn(c, block))
+                    << "op " << op << " block " << block << " core " << c;
+        }
+    }
+    // The run must have reached every corner it is meant to cover.
+    EXPECT_GT(engine.stats().invalidations, 0u);
+    EXPECT_GT(engine.stats().l1Hits, 0u);
+    EXPECT_GT(engine.stats().dramFills, kBlocks);
 }
 
 // --- CoreMask ----------------------------------------------------------------

@@ -10,12 +10,17 @@
  *  - jordprof diff exits zero on identical inputs and non-zero on a
  *    synthetic 20% P99 regression;
  *  - artifacts are written with write-then-rename: complete, with no
- *    temporary left beside them, and a failed write keeps the old file.
+ *    temporary left beside them, and a failed write keeps the old file;
+ *    a symlinked target is followed and a FIFO is written in place;
+ *  - jordsim refuses a machine larger than the directory can track.
  */
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -266,6 +271,51 @@ TEST(AtomicArtifacts, FailedWriteKeepsTheOldFile)
     EXPECT_TRUE(tempSiblings(dir).empty());
 }
 
+TEST(AtomicArtifacts, SymlinkedTargetIsReplacedBehindTheLink)
+{
+    std::string dir = tmpPath("atomic_link");
+    std::filesystem::create_directories(dir + "/real");
+    std::string target = dir + "/real/out.json";
+    std::string link = dir + "/out.json";
+    spit(target, "old\n");
+    std::filesystem::create_symlink("real/out.json", link);
+
+    auto whole = [](std::ostream &out) { out << "new\n"; };
+    EXPECT_TRUE(jord::sim::writeFileAtomic(link, whole));
+    EXPECT_TRUE(std::filesystem::is_symlink(link));
+    EXPECT_EQ(slurp(target), "new\n");
+    EXPECT_TRUE(tempSiblings(dir).empty());
+    EXPECT_TRUE(tempSiblings(dir + "/real").empty());
+
+    // A dangling link gets its target created.
+    std::string dangling = dir + "/dangling.json";
+    std::filesystem::create_symlink("real/made.json", dangling);
+    EXPECT_TRUE(jord::sim::writeFileAtomic(dangling, whole));
+    EXPECT_TRUE(std::filesystem::is_symlink(dangling));
+    EXPECT_EQ(slurp(dir + "/real/made.json"), "new\n");
+}
+
+TEST(AtomicArtifacts, FifoTargetIsWrittenInPlace)
+{
+    std::string dir = tmpPath("atomic_fifo");
+    std::filesystem::create_directory(dir);
+    std::string fifo = dir + "/out.fifo";
+    ASSERT_EQ(mkfifo(fifo.c_str(), 0600), 0);
+    // Hold a reader open first, so opening the FIFO to write cannot
+    // block; the payload fits in the pipe buffer.
+    int reader = open(fifo.c_str(), O_RDONLY | O_NONBLOCK);
+    ASSERT_GE(reader, 0);
+
+    auto whole = [](std::ostream &out) { out << "new\n"; };
+    EXPECT_TRUE(jord::sim::writeFileAtomic(fifo, whole));
+    char buf[16] = {};
+    EXPECT_EQ(::read(reader, buf, sizeof buf), 4);
+    EXPECT_EQ(std::string(buf), "new\n");
+    ::close(reader);
+    EXPECT_TRUE(std::filesystem::is_fifo(fifo));
+    EXPECT_TRUE(tempSiblings(dir).empty());
+}
+
 // --- jordprof diff ------------------------------------------------------------
 
 TEST(JordprofDiff, IdenticalInputsPassAndRegressionsFail)
@@ -395,16 +445,20 @@ TEST(JordsimCluster, WorkerOnlyFlagsAreRejectedInClusterMode)
 
 TEST(JordsimCluster, FleetOnlyFlagsAreRejectedInWorkerMode)
 {
-    const char *flags[] = {"--lb jsq",         "--traffic diurnal",
-                           "--duration-ms 4",  "--slo-us 100",
-                           "--autoscale 1..4",  "--hedge-us 20",
-                           "--outlier-eject",  "--retry-budget 0.2",
-                           "--health-check",   "--breaker",
-                           "--obs-interval-ms 1", "--obs-out /tmp/x",
-                           "--obs-trace-out /tmp/x",
-                           "--obs-slo-target 0.99",
-                           "--obs-burn-threshold 2"};
-    for (const char *flag : flags) {
+    // Output flags name a private path, so a rejection that regressed
+    // could not write outside this test's scratch directory.
+    const std::string out_path = shellQuote(tmpPath("fleet_only_out"));
+    const std::string flags[] = {"--lb jsq",         "--traffic diurnal",
+                                 "--duration-ms 4",  "--slo-us 100",
+                                 "--autoscale 1..4",  "--hedge-us 20",
+                                 "--outlier-eject",  "--retry-budget 0.2",
+                                 "--health-check",   "--breaker",
+                                 "--obs-interval-ms 1",
+                                 "--obs-out " + out_path,
+                                 "--obs-trace-out " + out_path,
+                                 "--obs-slo-target 0.99",
+                                 "--obs-burn-threshold 2"};
+    for (const std::string &flag : flags) {
         std::string out;
         EXPECT_NE(runCapture(kJordsim + " --requests 100 " + flag, out),
                   0)
@@ -414,6 +468,17 @@ TEST(JordsimCluster, FleetOnlyFlagsAreRejectedInWorkerMode)
             std::string::npos)
             << out;
     }
+}
+
+TEST(Jordsim, MachineLargerThanTheDirectoryTracksIsRejected)
+{
+    std::string out;
+    EXPECT_NE(runCapture(kJordsim + " --workload Hotel --requests 50 "
+                                    "--cores 512 --sockets 2",
+                         out),
+              0);
+    EXPECT_NE(out.find("512 cores exceed the 256"), std::string::npos)
+        << out;
 }
 
 TEST(JordsimCluster, FaultPlanScopeIsCheckedAgainstMode)
