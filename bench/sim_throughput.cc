@@ -17,10 +17,12 @@
  * which is why the timed regions carry D1 suppressions. The
  * events_per_sec keys are direction-aware in jordprof (higher is
  * better), so the perf-gate's same-runner A/B only trips when the event
- * core gets slower. The counter.* keys (dispatched events, and the
+ * core gets slower. The counter.* keys (dispatched events; the
  * worker's coherence reads, writes, L1 hits, invalidations and NoC
- * messages) are deterministic; the committed BENCH_sim_throughput.json
- * holds only those, and the perf-gate compares them byte for byte.
+ * messages; its VTD reads, writes, evictions and victim installs; and
+ * its VLB hits and misses summed over cores) are deterministic; the
+ * committed BENCH_sim_throughput.json holds only those, and the
+ * perf-gate compares them byte for byte.
  */
 
 #include <chrono>
@@ -34,6 +36,7 @@
 #include "mem/coherence.hh"
 #include "par/par.hh"
 #include "stats/table.hh"
+#include "uat/uat_system.hh"
 #include "workloads/workloads.hh"
 
 using namespace jord;
@@ -142,6 +145,28 @@ main(int argc, char **argv)
         static_cast<double>(mem.invalidations);
     json["counter.sim_throughput.worker.mem_messages"] =
         static_cast<double>(mem.messages);
+    const uat::VtdStats &vtd = worker.uat().vtd().stats();
+    json["counter.sim_throughput.worker.vtd_reads"] =
+        static_cast<double>(vtd.reads);
+    json["counter.sim_throughput.worker.vtd_writes"] =
+        static_cast<double>(vtd.writes);
+    json["counter.sim_throughput.worker.vtd_evictions"] =
+        static_cast<double>(vtd.evictions);
+    json["counter.sim_throughput.worker.vtd_victims"] =
+        static_cast<double>(vtd.victims);
+    std::uint64_t vlb_hits = 0;
+    std::uint64_t vlb_misses = 0;
+    for (unsigned core = 0; core < wcfg.machine.numCores; ++core) {
+        for (uat::Vlb *vlb : {&worker.uat().ivlb(core),
+                              &worker.uat().dvlb(core)}) {
+            vlb_hits += vlb->stats().hits;
+            vlb_misses += vlb->stats().misses;
+        }
+    }
+    json["counter.sim_throughput.worker.vlb_hits"] =
+        static_cast<double>(vlb_hits);
+    json["counter.sim_throughput.worker.vlb_misses"] =
+        static_cast<double>(vlb_misses);
     json["sim_throughput.cluster.events_per_sec"] =
         cluster_tp.eventsPerSec();
     json["counter.sim_throughput.cluster.events"] =

@@ -14,13 +14,20 @@ Mesh::Mesh(const sim::MachineConfig &cfg) : cfg_(cfg)
                    cfg.meshCols, cfg.meshRows, cfg.numSockets,
                    cfg.numCores);
     }
+    tiles_.reserve(cfg.numCores);
+    for (unsigned t = 0; t < cfg.numCores; ++t) {
+        unsigned local = t % tilesPerSocket_;
+        tiles_.push_back(Tile{local % cfg.meshCols, local / cfg.meshCols,
+                              t / tilesPerSocket_});
+    }
+    for (MsgKind kind : {MsgKind::Control, MsgKind::Data})
+        serialize_[static_cast<unsigned>(kind)] = flits(kind) - 1;
 }
 
 Coord
 Mesh::coordOf(unsigned tile) const
 {
-    unsigned local = tile % tilesPerSocket_;
-    return Coord{local % cfg_.meshCols, local / cfg_.meshCols};
+    return Coord{tiles_[tile].col, tiles_[tile].row};
 }
 
 unsigned
@@ -42,34 +49,6 @@ Mesh::flits(MsgKind kind) const
                    cfg_.linkBytes;
 }
 
-sim::Cycles
-Mesh::latency(unsigned src, unsigned dst, MsgKind kind) const
-{
-    // Serialization: the tail flit arrives (flits - 1) cycles after the
-    // head under wormhole routing with one flit/cycle links.
-    sim::Cycles serialize = flits(kind) - 1;
-    if (!crossSocket(src, dst)) {
-        if (src == dst)
-            return serialize; // local slice: no hops
-        return hops(src, dst) * cfg_.hopCycles + serialize;
-    }
-    // Cross-socket: route to the local edge router (column 0), traverse
-    // the socket link, then route from the remote edge to the target.
-    Coord src_c = coordOf(src);
-    Coord dst_c = coordOf(dst);
-    unsigned edge_hops = src_c.col + dst_c.col +
-        static_cast<unsigned>(
-            std::abs(static_cast<int>(src_c.row) -
-                     static_cast<int>(dst_c.row)));
-    return edge_hops * cfg_.hopCycles + cfg_.interSocketCycles + serialize;
-}
-
-sim::Cycles
-Mesh::roundTrip(unsigned src, unsigned dst, MsgKind kind) const
-{
-    return latency(src, dst, MsgKind::Control) + latency(dst, src, kind);
-}
-
 double
 Mesh::avgLatencyFrom(unsigned src, MsgKind kind) const
 {
@@ -87,7 +66,7 @@ Mesh::homeSlice(sim::Addr block_addr, unsigned from_tile) const
     block ^= block >> 17;
     block *= 0xff51afd7ed558ccdull;
     block ^= block >> 33;
-    unsigned socket = cfg_.socketOf(from_tile);
+    unsigned socket = tiles_[from_tile].socket;
     return socket * tilesPerSocket_ +
            static_cast<unsigned>(block % tilesPerSocket_);
 }

@@ -16,6 +16,7 @@
 #define JORD_NOC_MESH_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/machine.hh"
 #include "sim/types.hh"
@@ -62,13 +63,33 @@ class Mesh
      * One-way message latency from tile @p src to tile @p dst.
      *
      * Same-socket: hops * hopCycles plus serialization of extra flits.
-     * Cross-socket: each tile routes to its socket edge, then pays the
-     * inter-socket link latency.
+     * Cross-socket: each tile routes to its socket edge (column 0),
+     * then pays the inter-socket link latency. Serialization: the tail
+     * flit arrives (flits - 1) cycles after the head under wormhole
+     * routing with one flit/cycle links.
      */
-    sim::Cycles latency(unsigned src, unsigned dst, MsgKind kind) const;
+    sim::Cycles
+    latency(unsigned src, unsigned dst, MsgKind kind) const
+    {
+        const Tile &a = tiles_[src];
+        const Tile &b = tiles_[dst];
+        unsigned rows = a.row > b.row ? a.row - b.row : b.row - a.row;
+        unsigned span = a.socket == b.socket
+                            ? (a.col > b.col ? a.col - b.col
+                                             : b.col - a.col)
+                            : a.col + b.col;
+        sim::Cycles lat = (rows + span) * cfg_.hopCycles +
+                          serialize_[static_cast<unsigned>(kind)];
+        return a.socket == b.socket ? lat
+                                    : lat + cfg_.interSocketCycles;
+    }
 
     /** Round-trip: request out, response back (response carries @p kind). */
-    sim::Cycles roundTrip(unsigned src, unsigned dst, MsgKind kind) const;
+    sim::Cycles
+    roundTrip(unsigned src, unsigned dst, MsgKind kind) const
+    {
+        return latency(src, dst, MsgKind::Control) + latency(dst, src, kind);
+    }
 
     /** Average one-way control latency from @p src to all tiles. */
     double avgLatencyFrom(unsigned src, MsgKind kind) const;
@@ -88,14 +109,24 @@ class Mesh
     bool
     crossSocket(unsigned a, unsigned b) const
     {
-        return cfg_.socketOf(a) != cfg_.socketOf(b);
+        return tiles_[a].socket != tiles_[b].socket;
     }
 
     const sim::MachineConfig &config() const { return cfg_; }
 
   private:
+    /** Where a tile sits: its coordinate and socket. */
+    struct Tile {
+        unsigned col;
+        unsigned row;
+        unsigned socket;
+    };
+
     sim::MachineConfig cfg_;
     unsigned tilesPerSocket_;
+    std::vector<Tile> tiles_;
+    /** Serialization cycles (flits - 1) per MsgKind. */
+    sim::Cycles serialize_[2] = {};
 };
 
 } // namespace jord::noc

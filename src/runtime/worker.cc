@@ -94,7 +94,6 @@ WorkerServer::WorkerServer(WorkerConfig cfg, FunctionRegistry registry)
         exec.core = core;
         exec.queueLine = kQueueLineBase +
                          execs_.size() * sim::kCacheBlockBytes;
-        exec.dirtyFor.assign(num_orch, true);
         // Home orchestrator (receives this executor's internal requests
         // and completions): round-robin within the socket when
         // per-socket orchestrators are enabled.
@@ -120,16 +119,22 @@ WorkerServer::WorkerServer(WorkerConfig cfg, FunctionRegistry registry)
     // Dispatch sets: every orchestrator balances over all executors of
     // its own socket (the paper's "group of executors in proximity",
     // §3.3/§6.3); JBSQ outstanding counters are shared state.
+    jbsq_ = JbsqDispatch(static_cast<unsigned>(execs_.size()));
     for (unsigned o = 0; o < num_orch; ++o) {
+        std::vector<unsigned> set;
+        std::vector<Cycles> miss_cost;
         for (unsigned e = 0; e < execs_.size(); ++e) {
             if (!cfg_.perSocketOrchestrators ||
                 m.socketOf(orchs_[o].core) ==
                     m.socketOf(execs_[e].core)) {
-                orchs_[o].execs.push_back(e);
+                set.push_back(e);
+                miss_cost.push_back(mesh_->roundTrip(
+                    orchs_[o].core, execs_[e].core, noc::MsgKind::Data));
             }
         }
-        if (orchs_[o].execs.empty())
+        if (set.empty())
             sim::fatal("orchestrator %u manages no executors", o);
+        jbsq_.addOrch(std::move(set), std::move(miss_cost));
     }
 
     // --- Deploy functions and runtime code ----------------------------
@@ -245,12 +250,13 @@ WorkerServer::profSample(std::vector<prof::CoreSample> &cores,
                         o.completions.size();
         cores.push_back(std::move(cs));
     }
-    for (const ExecState &e : execs_) {
+    for (unsigned exec = 0; exec < execs_.size(); ++exec) {
+        const ExecState &e = execs_[exec];
         prof::CoreSample cs;
         cs.core = e.core;
         cs.busy = e.busy;
         cs.queueDepth = e.queue.size() + e.resumable.size();
-        cs.outstanding = e.outstanding;
+        cs.outstanding = jbsq_.outstanding(exec);
         cs.domainDepth = privlib_->domainDepth(e.core);
         cs.vlbIOccupancy = uat_->ivlb(e.core).occupancy();
         cs.vlbICapacity = uat_->ivlb(e.core).capacity();
@@ -432,45 +438,6 @@ WorkerServer::orchEnqueue(unsigned orch, Request req)
 }
 
 void
-WorkerServer::markDirty(ExecState &exec)
-{
-    std::fill(exec.dirtyFor.begin(), exec.dirtyFor.end(), true);
-}
-
-Cycles
-WorkerServer::dispatchScan(OrchState &o, unsigned orch_idx,
-                           unsigned &chosen)
-{
-    // RPCValet-style JBSQ: load each managed executor's queue-length
-    // line; lines unchanged since the last scan hit in the L1, changed
-    // ones pay a coherence round trip, overlapped up to dispatchMlp.
-    Cycles lat = 8 + static_cast<Cycles>(o.execs.size()) / 4;
-    Cycles miss_total = 0;
-    unsigned misses = 0;
-    unsigned best = o.execs[o.rr % o.execs.size()];
-    for (unsigned i = 0; i < o.execs.size(); ++i) {
-        unsigned ei = o.execs[(o.rr + i) % o.execs.size()];
-        ExecState &e = execs_[ei];
-        if (e.dirtyFor[orch_idx]) {
-            miss_total +=
-                mesh_->roundTrip(o.core, e.core, noc::MsgKind::Data);
-            ++misses;
-            e.dirtyFor[orch_idx] = false;
-        }
-        if (execs_[ei].outstanding < execs_[best].outstanding)
-            best = ei;
-    }
-    o.rr = (o.rr + 1) % o.execs.size();
-    if (misses > 0) {
-        unsigned overlap = std::max(
-            1u, std::min(cfg_.dispatchMlp, misses));
-        lat += miss_total / overlap;
-    }
-    chosen = best;
-    return lat;
-}
-
-void
 WorkerServer::orchDispatchStep(unsigned orch)
 {
     OrchState &o = orchs_[orch];
@@ -574,8 +541,10 @@ WorkerServer::orchDispatchStep(unsigned orch)
                                       spanArgs(req));
             }
 
-            unsigned chosen = 0;
-            Cycles scan = dispatchScan(o, orch, chosen);
+            JbsqDispatch::Pick pick =
+                jbsq_.scan(orch, cfg_.dispatchMlp);
+            unsigned chosen = pick.exec;
+            Cycles scan = pick.lat;
             busy += scan;
             if (pmu_) {
                 pmu_->add(o.core, prof::PmuCounter::DispatchScans);
@@ -584,7 +553,7 @@ WorkerServer::orchDispatchStep(unsigned orch)
             }
 
             if (!internal &&
-                execs_[chosen].outstanding >= cfg_.jbsqBound) {
+                jbsq_.outstanding(chosen) >= cfg_.jbsqBound) {
                 // JBSQ bound reached: hold external dispatch until an
                 // executor frees up (completions will kick us).
                 return;
@@ -667,8 +636,7 @@ WorkerServer::orchDispatchStep(unsigned orch)
             }
 
             ExecState &e = execs_[chosen];
-            ++e.outstanding;
-            markDirty(e);
+            jbsq_.add(chosen, +1);
             busy += coherence_->write(o.core, e.queueLine).latency;
             busy += kQueueOpCycles;
 
@@ -723,7 +691,7 @@ WorkerServer::execStep(unsigned exec)
     if (!e.queue.empty()) {
         Request req = std::move(e.queue.front());
         e.queue.pop_front();
-        markDirty(e);
+        jbsq_.markDirty(exec);
         e.busy = true;
         noteExecBusy(true);
         startInvocation(exec, std::move(req));
@@ -1469,8 +1437,7 @@ void
 WorkerServer::resumeInvocation(unsigned exec, Invocation &inv)
 {
     ExecState &e = execs_[exec];
-    ++e.outstanding;
-    markDirty(e);
+    jbsq_.add(exec, +1);
     e.running = inv.req.id;
     inv.state = InvState::Running;
     Cycles busy = 0;
@@ -1536,8 +1503,7 @@ WorkerServer::scheduleExecCompletion(unsigned exec, RequestId id,
                 finishInvocation(*it->second);
             } else {
                 // Suspended: free the JBSQ slot.
-                --e.outstanding;
-                markDirty(e);
+                jbsq_.add(exec, -1);
                 orchDispatchStep(execs_[exec].orch);
             }
             execStep(exec);
@@ -1574,9 +1540,9 @@ WorkerServer::accountInvocation(Invocation &inv)
 void
 WorkerServer::finishInvocation(Invocation &inv)
 {
-    ExecState &e = execs_[inv.exec];
-    --e.outstanding;
-    markDirty(e);
+    // The internal path below erases inv; note its home orchestrator.
+    unsigned home_orch = execs_[inv.exec].orch;
+    jbsq_.add(inv.exec, -1);
     if (cfg_.system == SystemKind::NightCore && inv.prologueDone) {
         // The worker slot frees at actual completion time, not when the
         // epilogue's costs were computed. Aborted-before-start
@@ -1624,7 +1590,7 @@ WorkerServer::finishInvocation(Invocation &inv)
             orchDispatchStep(orch);
         });
     }
-    orchDispatchStep(e.orch);
+    orchDispatchStep(home_orch);
 }
 
 void
@@ -1919,9 +1885,10 @@ WorkerServer::verifyQuiescent()
             sim::panic("run drained with queued work on orchestrator "
                        "core %u", o.core);
     }
-    for (const ExecState &e : execs_) {
+    for (unsigned exec = 0; exec < execs_.size(); ++exec) {
+        const ExecState &e = execs_[exec];
         if (!e.queue.empty() || !e.resumable.empty() || e.busy ||
-            e.outstanding != 0)
+            jbsq_.outstanding(exec) != 0)
             sim::panic("run drained with executor core %u not idle",
                        e.core);
     }
@@ -1945,11 +1912,10 @@ WorkerServer::verifyQuiescent()
 double
 WorkerServer::measureDispatchScanNs()
 {
-    for (auto &e : execs_)
-        markDirty(e);
-    unsigned chosen = 0;
-    Cycles lat = dispatchScan(orchs_[0], 0, chosen);
-    return sim::cyclesToNs(lat, cfg_.machine.freqGhz);
+    for (unsigned e = 0; e < execs_.size(); ++e)
+        jbsq_.markDirty(e);
+    return sim::cyclesToNs(jbsq_.scan(0, cfg_.dispatchMlp).lat,
+                           cfg_.machine.freqGhz);
 }
 
 // --- Run loop ----------------------------------------------------------------
@@ -1987,10 +1953,9 @@ WorkerServer::run(double mrps, std::uint64_t num_requests,
         e.queue.clear();
         e.resumable.clear();
         e.busy = false;
-        e.outstanding = 0;
         e.running = 0;
-        markDirty(e);
     }
+    jbsq_.reset();
 
     arrivals_ =
         sim::PoissonArrivals::fromMrps(mrps, cfg_.machine.freqGhz);

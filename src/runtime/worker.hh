@@ -27,6 +27,7 @@
 #include "privlib/privlib.hh"
 #include "prof/pmu.hh"
 #include "prof/profiler.hh"
+#include "runtime/jbsq.hh"
 #include "runtime/registry.hh"
 #include "runtime/request.hh"
 #include "sim/arrivals.hh"
@@ -249,11 +250,6 @@ class WorkerServer : public prof::SampleSource
         std::deque<Request> queue;
         std::deque<RequestId> resumable;
         bool busy = false;
-        /** Queue-length line changed since each orchestrator's last
-         * scan (per-orchestrator coherence view). */
-        std::vector<bool> dirtyFor;
-        /** Outstanding = queued + running (JBSQ counter). */
-        unsigned outstanding = 0;
         sim::Addr queueLine = 0;
         /** Request the executor is currently working on (0 = none);
          * host-only bookkeeping for profiler stack samples. */
@@ -266,9 +262,7 @@ class WorkerServer : public prof::SampleSource
         std::deque<Request> internal;
         /** Completed external requests awaiting response processing. */
         std::deque<RequestId> completions;
-        std::vector<unsigned> execs; ///< executor indices it manages
         bool dispatching = false;
-        unsigned rr = 0; ///< tie-break rotation
         sim::Addr completionLine = 0;
     };
 
@@ -288,6 +282,8 @@ class WorkerServer : public prof::SampleSource
 
     std::vector<OrchState> orchs_;
     std::vector<ExecState> execs_;
+    /** Outstanding counters and per-orchestrator dispatch sets. */
+    JbsqDispatch jbsq_;
     std::unordered_map<RequestId, std::unique_ptr<Invocation>> live_;
 
     // Failure handling.
@@ -355,10 +351,6 @@ class WorkerServer : public prof::SampleSource
     // --- Orchestrator ---
     void orchEnqueue(unsigned orch, Request req);
     void orchDispatchStep(unsigned orch);
-    sim::Cycles dispatchScan(OrchState &orch, unsigned orch_idx,
-                             unsigned &chosen);
-    /** Mark an executor's queue-length line dirty for every orch. */
-    void markDirty(ExecState &exec);
     /** Next round-robin orchestrator on @p socket. */
     unsigned pickOrch(unsigned socket);
     unsigned m_socketOfCore(unsigned core) const;

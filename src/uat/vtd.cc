@@ -12,7 +12,9 @@ Vtd::Vtd(const sim::MachineConfig &cfg, const noc::Mesh &mesh)
 {
     std::uint64_t total = static_cast<std::uint64_t>(cfg.vtdSets) *
                           cfg.vtdWays * cfg.numCores;
-    entries_.assign(total, Entry{});
+    tags_.assign(total, 0);
+    sharers_.assign(total, mem::CoreMask{});
+    lastUse_.assign(total, 0);
 }
 
 std::size_t
@@ -25,96 +27,87 @@ Vtd::setBase(Addr vte_addr) const
            cfg_.vtdWays;
 }
 
-Vtd::Entry *
-Vtd::find(Addr vte_addr)
-{
-    Addr tag = sim::blockAlign(vte_addr);
-    std::size_t base = setBase(vte_addr);
-    for (unsigned way = 0; way < cfg_.vtdWays; ++way) {
-        Entry &entry = entries_[base + way];
-        if (entry.valid && entry.tag == tag)
-            return &entry;
-    }
-    return nullptr;
-}
-
-const Vtd::Entry *
+std::ptrdiff_t
 Vtd::find(Addr vte_addr) const
 {
-    return const_cast<Vtd *>(this)->find(vte_addr);
+    Addr tag = tagOf(vte_addr);
+    std::size_t base = setBase(vte_addr);
+    for (unsigned way = 0; way < cfg_.vtdWays; ++way) {
+        if (tags_[base + way] == tag)
+            return static_cast<std::ptrdiff_t>(base + way);
+    }
+    return -1;
 }
 
-Vtd::Entry &
-Vtd::victimIn(Addr vte_addr, std::optional<Evicted> &out)
+std::size_t
+Vtd::claimSlot(Addr vte_addr, std::optional<Evicted> &out)
 {
     std::size_t base = setBase(vte_addr);
-    Entry *victim = nullptr;
+    std::size_t slot = base;
     for (unsigned way = 0; way < cfg_.vtdWays; ++way) {
-        Entry &entry = entries_[base + way];
-        if (!entry.valid)
-            return entry;
-        if (!victim || entry.lastUse < victim->lastUse)
-            victim = &entry;
+        std::size_t i = base + way;
+        if (tags_[i] == 0) {
+            tags_[i] = tagOf(vte_addr);
+            return i;
+        }
+        if (lastUse_[i] < lastUse_[slot])
+            slot = i;
     }
     ++stats_.evictions;
-    if (victim->sharers.any())
-        out = Evicted{victim->tag, victim->sharers};
-    victim->valid = false;
-    victim->sharers.reset();
-    return *victim;
+    if (sharers_[slot].any())
+        out = Evicted{tags_[slot] & ~Addr{1}, sharers_[slot]};
+    tags_[slot] = tagOf(vte_addr);
+    return slot;
 }
 
 std::optional<Vtd::Evicted>
 Vtd::addSharer(Addr vte_addr, unsigned core)
 {
     ++stats_.reads;
-    if (Entry *entry = find(vte_addr)) {
-        entry->sharers.set(core);
-        entry->lastUse = ++useClock_;
-        return std::nullopt;
-    }
     std::optional<Evicted> evicted;
-    Entry &entry = victimIn(vte_addr, evicted);
-    entry.valid = true;
-    entry.tag = sim::blockAlign(vte_addr);
-    entry.sharers.reset();
-    entry.sharers.set(core);
-    entry.lastUse = ++useClock_;
+    std::ptrdiff_t hit = find(vte_addr);
+    std::size_t slot = 0;
+    if (hit >= 0) {
+        slot = static_cast<std::size_t>(hit);
+    } else {
+        slot = claimSlot(vte_addr, evicted);
+        sharers_[slot].reset();
+    }
+    sharers_[slot].set(core);
+    lastUse_[slot] = ++useClock_;
     return evicted;
 }
 
 std::optional<mem::CoreMask>
 Vtd::sharers(Addr vte_addr) const
 {
-    const Entry *entry = find(vte_addr);
-    if (!entry)
+    std::ptrdiff_t slot = find(vte_addr);
+    if (slot < 0)
         return std::nullopt;
-    return entry->sharers;
+    return sharers_[static_cast<std::size_t>(slot)];
 }
 
 void
 Vtd::remove(Addr vte_addr)
 {
-    if (Entry *entry = find(vte_addr)) {
-        entry->valid = false;
-        entry->sharers.reset();
-    }
+    // A freed slot's sharers are rewritten when it is next claimed.
+    std::ptrdiff_t slot = find(vte_addr);
+    if (slot >= 0)
+        tags_[static_cast<std::size_t>(slot)] = 0;
 }
 
 std::optional<Vtd::Evicted>
 Vtd::installPessimistic(Addr vte_addr, const mem::CoreMask &sharers)
 {
-    if (find(vte_addr) != nullptr)
+    if (find(vte_addr) >= 0)
         return std::nullopt; // already tracked precisely
     if (sharers.none())
         return std::nullopt;
     ++stats_.victims;
     std::optional<Evicted> evicted;
-    Entry &entry = victimIn(vte_addr, evicted);
-    entry.valid = true;
-    entry.tag = sim::blockAlign(vte_addr);
-    entry.sharers = sharers;
-    entry.lastUse = ++useClock_;
+    std::size_t slot = claimSlot(vte_addr, evicted);
+    sharers_[slot] = sharers;
+    lastUse_[slot] = ++useClock_;
     return evicted;
 }
 

@@ -18,6 +18,7 @@
 #ifndef JORD_UAT_VTD_HH
 #define JORD_UAT_VTD_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -78,27 +79,33 @@ class Vtd
     VtdStats &mutableStats() { return stats_; }
 
     /** Total capacity in entries across all slices. */
-    std::uint64_t capacity() const { return entries_.size(); }
+    std::uint64_t capacity() const { return tags_.size(); }
 
   private:
-    struct Entry {
-        bool valid = false;
-        sim::Addr tag = 0;
-        mem::CoreMask sharers;
-        std::uint64_t lastUse = 0;
-    };
-
+    // Entries are three parallel arrays indexed slot = set base + way,
+    // so a set's tags share one host cache line. A valid tag is
+    // blockAlign(vte) | 1 (block 0 included); 0 marks an invalid slot.
     const sim::MachineConfig &cfg_;
     const noc::Mesh &mesh_;
-    std::vector<Entry> entries_;
+    std::vector<sim::Addr> tags_;
+    std::vector<mem::CoreMask> sharers_;
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
     VtdStats stats_;
 
-    /** First entry index of the set @p vte_addr maps to. */
+    static sim::Addr
+    tagOf(sim::Addr vte_addr)
+    {
+        return sim::blockAlign(vte_addr) | 1;
+    }
+
+    /** First slot of the set @p vte_addr maps to. */
     std::size_t setBase(sim::Addr vte_addr) const;
-    Entry *find(sim::Addr vte_addr);
-    const Entry *find(sim::Addr vte_addr) const;
-    Entry &victimIn(sim::Addr vte_addr, std::optional<Evicted> &out);
+    /** Slot tracking @p vte_addr, or -1 if untracked. */
+    std::ptrdiff_t find(sim::Addr vte_addr) const;
+    /** Free a slot in @p vte_addr's set, evicting the LRU way if full;
+     * tag the slot for @p vte_addr and return it. */
+    std::size_t claimSlot(sim::Addr vte_addr, std::optional<Evicted> &out);
 };
 
 } // namespace jord::uat

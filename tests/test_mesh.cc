@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "noc/mesh.hh"
 #include "sim/machine.hh"
 
@@ -166,6 +168,90 @@ TEST(MeshMultiSocket, AvgLatencyGrowsWithScale)
     Mesh large(MachineConfig::scaled(256, 1));
     EXPECT_LT(small.avgLatencyFrom(0, MsgKind::Control),
               large.avgLatencyFrom(0, MsgKind::Control));
+}
+
+/**
+ * Closed-form XY-routing latency, kept independent of Mesh's tables:
+ * same socket pays Manhattan hops; cross socket routes both ends to
+ * their column-0 edge router and pays the socket link; every message
+ * adds (flits - 1) cycles of serialization.
+ */
+jord::sim::Cycles
+closedFormLatency(const MachineConfig &cfg, unsigned src, unsigned dst,
+                  MsgKind kind)
+{
+    unsigned per_socket = cfg.meshCols * cfg.meshRows;
+    int src_col = static_cast<int>(src % per_socket % cfg.meshCols);
+    int src_row = static_cast<int>(src % per_socket / cfg.meshCols);
+    int dst_col = static_cast<int>(dst % per_socket % cfg.meshCols);
+    int dst_row = static_cast<int>(dst % per_socket / cfg.meshCols);
+    jord::sim::Cycles serialize =
+        kind == MsgKind::Control
+            ? 0
+            : (jord::sim::kCacheBlockBytes + cfg.linkBytes - 1) /
+                  cfg.linkBytes;
+    int rows = std::abs(src_row - dst_row);
+    if (src / per_socket == dst / per_socket) {
+        int cols = std::abs(src_col - dst_col);
+        return static_cast<jord::sim::Cycles>(cols + rows) *
+                   cfg.hopCycles +
+               serialize;
+    }
+    return static_cast<jord::sim::Cycles>(src_col + dst_col + rows) *
+               cfg.hopCycles +
+           cfg.interSocketCycles + serialize;
+}
+
+void
+expectClosedFormEverywhere(const MachineConfig &cfg)
+{
+    Mesh mesh(cfg);
+    unsigned mismatches = 0;
+    for (unsigned src = 0; src < cfg.numCores; ++src) {
+        for (unsigned dst = 0; dst < cfg.numCores; ++dst) {
+            for (MsgKind kind : {MsgKind::Control, MsgKind::Data}) {
+                jord::sim::Cycles want =
+                    closedFormLatency(cfg, src, dst, kind);
+                jord::sim::Cycles want_rt =
+                    closedFormLatency(cfg, src, dst, MsgKind::Control) +
+                    closedFormLatency(cfg, dst, src, kind);
+                if (mesh.latency(src, dst, kind) != want ||
+                    mesh.roundTrip(src, dst, kind) != want_rt) {
+                    if (++mismatches <= 5)
+                        ADD_FAILURE()
+                            << cfg.describe() << ": src " << src
+                            << " dst " << dst << " kind "
+                            << static_cast<int>(kind) << " latency "
+                            << mesh.latency(src, dst, kind) << " want "
+                            << want;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(MeshExhaustive, DefaultMachineMatchesClosedForm)
+{
+    expectClosedFormEverywhere(MachineConfig::isca25Default());
+}
+
+TEST(MeshExhaustive, TwoSocket256CoreMatchesClosedForm)
+{
+    // fig14's largest point.
+    expectClosedFormEverywhere(MachineConfig::scaled(256, 2));
+}
+
+TEST(MeshExhaustive, NonPowerOfTwoMeshMatchesClosedForm)
+{
+    // 3x5 tiles per socket: 15 is no power of two, so any shift/mask
+    // shortcut in the tile table would misplace tiles.
+    MachineConfig cfg = MachineConfig::isca25Default();
+    cfg.meshCols = 3;
+    cfg.meshRows = 5;
+    cfg.numSockets = 2;
+    cfg.numCores = 30;
+    expectClosedFormEverywhere(cfg);
 }
 
 } // namespace

@@ -481,6 +481,49 @@ TEST(Jordsim, MachineLargerThanTheDirectoryTracksIsRejected)
         << out;
 }
 
+TEST(Jordsim, NumericFlagsRejectMalformedValues)
+{
+    // Each value used to be read by strtod/strtoul without checking:
+    // "abc" became 0 and "4x" became 4, and the run went ahead.
+    struct Case {
+        const char *flag;
+        const char *value;
+        const char *why;
+    };
+    const Case cases[] = {
+        {"--requests", "abc", "expects a non-negative integer"},
+        {"--cores", "4x", "expects a non-negative integer"},
+        {"--requests", "-1", "expects a non-negative integer"},
+        {"--requests", "1e6", "expects a non-negative integer"},
+        {"--cores", "", "got an empty value"},
+        {"--cores", "4294967296", "exceeds 4294967295"},
+        {"--seed", "18446744073709551616", "exceeds"},
+        {"--mrps", "nan", "expects a finite number"},
+        {"--mrps", "inf", "expects a finite number"},
+        {"--mrps", "1.5x", "expects a finite number"},
+        {"--mrps", "1e400", "expects a finite number"},
+        {"--timeout-us", "abc", "expects a finite number"},
+    };
+    for (const Case &c : cases) {
+        std::string out;
+        std::string arg = std::string(c.flag) + "=" + c.value;
+        if (*c.value == '\0')
+            arg = std::string(c.flag) + " ''";
+        EXPECT_NE(runCapture(kJordsim + " --workload Hotel " + arg, out),
+                  0)
+            << arg;
+        EXPECT_NE(out.find(c.flag), std::string::npos) << arg << ": " << out;
+        EXPECT_NE(out.find(c.why), std::string::npos) << arg << ": " << out;
+    }
+    // Well-formed values still run.
+    std::string out;
+    EXPECT_EQ(runCapture(kJordsim + " --workload Hotel --requests 200 "
+                                    "--cores 16 --mrps 0.5 --csv",
+                         out),
+              0)
+        << out;
+}
+
 TEST(JordsimCluster, FaultPlanScopeIsCheckedAgainstMode)
 {
     // Function-scope clauses drive the in-worker injector; the

@@ -14,10 +14,14 @@
  * Run `jordsim --help` for the full flag reference.
  */
 
+#include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -296,6 +300,54 @@ printUsage()
         "Value-taking flags also accept the --flag=value form.\n");
 }
 
+/**
+ * @p text as a flag's non-negative integer value for a field of type
+ * @p T. Empty values, signs, trailing characters ("4x", "1e6") and
+ * values beyond @p T exit naming @p flag, so a typo never silently
+ * becomes 0 or a prefix.
+ */
+template <typename T>
+T
+parseUnsignedFlag(const std::string &flag, const std::string &text)
+{
+    const std::uint64_t max = std::numeric_limits<T>::max();
+    if (text.empty())
+        sim::fatal("%s expects a non-negative integer, got an empty "
+                   "value",
+                   flag.c_str());
+    std::uint64_t value = 0;
+    for (char c : text) {
+        if (c < '0' || c > '9')
+            sim::fatal("%s expects a non-negative integer, got '%s'",
+                       flag.c_str(), text.c_str());
+        unsigned digit = static_cast<unsigned>(c - '0');
+        if (value > (max - digit) / 10)
+            sim::fatal("%s value '%s' exceeds %llu", flag.c_str(),
+                       text.c_str(), static_cast<unsigned long long>(max));
+        value = value * 10 + digit;
+    }
+    return static_cast<T>(value);
+}
+
+/**
+ * @p text as a flag's finite real value. Empty values, leading blanks,
+ * trailing characters, NaN, infinities and overflow exit naming
+ * @p flag; range checks stay with each flag.
+ */
+double
+parseDoubleFlag(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    double value = std::strtod(text.c_str(), &end);
+    bool whole = !text.empty() &&
+                 !std::isspace(static_cast<unsigned char>(text[0])) &&
+                 end == text.c_str() + text.size();
+    if (!whole || !std::isfinite(value))
+        sim::fatal("%s expects a finite number, got '%s'", flag.c_str(),
+                   text.c_str());
+    return value;
+}
+
 Options
 parseArgs(int argc, char **argv)
 {
@@ -330,21 +382,17 @@ parseArgs(int argc, char **argv)
         else if (flag == "--system")
             opt.system = value();
         else if (flag == "--mrps")
-            opt.mrps = std::strtod(value().c_str(), nullptr);
+            opt.mrps = parseDoubleFlag(flag, value());
         else if (flag == "--requests")
-            opt.requests =
-                std::strtoull(value().c_str(), nullptr, 10);
+            opt.requests = parseUnsignedFlag<std::uint64_t>(flag, value());
         else if (flag == "--cores")
-            opt.cores = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.cores = parseUnsignedFlag<unsigned>(flag, value());
         else if (flag == "--sockets")
-            opt.sockets = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.sockets = parseUnsignedFlag<unsigned>(flag, value());
         else if (flag == "--orchestrators")
-            opt.orchestrators = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.orchestrators = parseUnsignedFlag<unsigned>(flag, value());
         else if (flag == "--seed")
-            opt.seed = std::strtoull(value().c_str(), nullptr, 10);
+            opt.seed = parseUnsignedFlag<std::uint64_t>(flag, value());
         else if (flag == "--trace-out")
             opt.traceOut = value();
         else if (flag == "--metrics-out")
@@ -354,7 +402,7 @@ parseArgs(int argc, char **argv)
         else if (flag == "--pmu-out")
             opt.pmuOut = value();
         else if (flag == "--prof-hz") {
-            opt.profHz = std::strtod(value().c_str(), nullptr);
+            opt.profHz = parseDoubleFlag(flag, value());
             opt.profHzSet = true;
             if (opt.profHz < 0)
                 sim::fatal("--prof-hz expects a rate >= 0, got %g",
@@ -363,18 +411,16 @@ parseArgs(int argc, char **argv)
         else if (flag == "--fault-plan")
             opt.faultPlan = value();
         else if (flag == "--timeout-us") {
-            opt.timeoutUs = std::strtod(value().c_str(), nullptr);
+            opt.timeoutUs = parseDoubleFlag(flag, value());
             opt.workerOnlyFlags.push_back(flag);
         } else if (flag == "--max-retries") {
-            opt.maxRetries = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.maxRetries = parseUnsignedFlag<unsigned>(flag, value());
             opt.workerOnlyFlags.push_back(flag);
         } else if (flag == "--retry-backoff-us") {
-            opt.retryBackoffUs = std::strtod(value().c_str(), nullptr);
+            opt.retryBackoffUs = parseDoubleFlag(flag, value());
             opt.workerOnlyFlags.push_back(flag);
         } else if (flag == "--shed-cap")
-            opt.shedCap = static_cast<std::size_t>(
-                std::strtoull(value().c_str(), nullptr, 10));
+            opt.shedCap = parseUnsignedFlag<std::size_t>(flag, value());
         else if (flag == "--check") {
             // Bare --check enables every family; --check=a,b a subset.
             std::string spec = has_inline ? inline_val : "";
@@ -396,8 +442,7 @@ parseArgs(int argc, char **argv)
                            spec.c_str());
             opt.sweep = true;
         } else if (flag == "--cluster")
-            opt.cluster = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.cluster = parseUnsignedFlag<unsigned>(flag, value());
         else if (flag == "--lb") {
             opt.lb = value();
             opt.clusterOnlyFlags.push_back(flag);
@@ -405,10 +450,10 @@ parseArgs(int argc, char **argv)
             opt.traffic = value();
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--duration-ms") {
-            opt.durationMs = std::strtod(value().c_str(), nullptr);
+            opt.durationMs = parseDoubleFlag(flag, value());
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--slo-us") {
-            opt.sloUs = std::strtod(value().c_str(), nullptr);
+            opt.sloUs = parseDoubleFlag(flag, value());
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--autoscale") {
             std::string spec = value();
@@ -423,7 +468,7 @@ parseArgs(int argc, char **argv)
             opt.autoscaleHi = static_cast<unsigned>(hi);
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--hedge-us") {
-            opt.hedgeUs = std::strtod(value().c_str(), nullptr);
+            opt.hedgeUs = parseDoubleFlag(flag, value());
             if (opt.hedgeUs < 0)
                 sim::fatal("--hedge-us expects a delay >= 0, got %g",
                            opt.hedgeUs);
@@ -434,7 +479,7 @@ parseArgs(int argc, char **argv)
             opt.outlierEject = true;
             if (has_inline) {
                 opt.ejectMult =
-                    std::strtod(inline_val.c_str(), nullptr);
+                    parseDoubleFlag(flag, inline_val);
                 if (opt.ejectMult <= 1.0)
                     sim::fatal("--outlier-eject expects a P99 multiple "
                                "> 1, got '%s'",
@@ -442,7 +487,7 @@ parseArgs(int argc, char **argv)
             }
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--retry-budget") {
-            opt.retryBudget = std::strtod(value().c_str(), nullptr);
+            opt.retryBudget = parseDoubleFlag(flag, value());
             if (opt.retryBudget < 0)
                 sim::fatal("--retry-budget expects a fraction >= 0, "
                            "got %g",
@@ -455,7 +500,7 @@ parseArgs(int argc, char **argv)
             opt.breaker = true;
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--obs-interval-ms") {
-            opt.obsIntervalMs = std::strtod(value().c_str(), nullptr);
+            opt.obsIntervalMs = parseDoubleFlag(flag, value());
             if (opt.obsIntervalMs <= 0)
                 sim::fatal("--obs-interval-ms expects a window > 0, "
                            "got %g",
@@ -468,7 +513,7 @@ parseArgs(int argc, char **argv)
             opt.obsTraceOut = value();
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--obs-slo-target") {
-            opt.obsSloTarget = std::strtod(value().c_str(), nullptr);
+            opt.obsSloTarget = parseDoubleFlag(flag, value());
             if (opt.obsSloTarget <= 0 || opt.obsSloTarget >= 1)
                 sim::fatal("--obs-slo-target expects a fraction in "
                            "(0, 1), got %g",
@@ -476,7 +521,7 @@ parseArgs(int argc, char **argv)
             opt.clusterOnlyFlags.push_back(flag);
         } else if (flag == "--obs-burn-threshold") {
             opt.obsBurnThreshold =
-                std::strtod(value().c_str(), nullptr);
+                parseDoubleFlag(flag, value());
             if (opt.obsBurnThreshold <= 0)
                 sim::fatal("--obs-burn-threshold expects a multiple "
                            "> 0, got %g",
